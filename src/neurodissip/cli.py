@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dissipativity, dynamics, plants, structured, training
 from .activations import get_activation
-from .dissipativity import GridAnalysis, GridSpec
+from .dissipativity import GridSpec
 from .network import Layer, MlpNetwork
 from .pwa import extract_pwa, verify_equivalence
 
@@ -426,47 +426,6 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def grid_analysis(net: MlpNetwork, grid: GridSpec, mode: str,
-                  threads: int = 1) -> GridAnalysis:
-    """certify_region split into per-row chunks for the thread pool.
-
-    Rows are merged by index, so the result is identical however the
-    pool schedules them, and identical to the single-pass sweep.
-    """
-    anchors = grid.cell_centers()
-    r = grid.resolution
-    rows = [anchors[i * r:(i + 1) * r] for i in range(r)]
-
-    def work(chunk):
-        return dissipativity.verdicts_at(net, chunk, mode=mode)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_row = list(pool.map(work, rows))
-    else:
-        per_row = [work(chunk) for chunk in rows]
-
-    dim = net.input_dim
-    a_norm = np.empty((r, r))
-    b_norm = np.empty((r, r))
-    eigs = np.empty((r, r, dim), dtype=complex)
-    diss = np.zeros((r, r), dtype=bool)
-    contr = np.empty((r, r), dtype=np.int8)
-    errors: dict = {}
-    for i, verdicts in enumerate(per_row):
-        for j, v in enumerate(verdicts):
-            a_norm[i, j] = v.a_norm
-            b_norm[i, j] = v.b_norm
-            eigs[i, j] = v.eigenvalues
-            diss[i, j] = v.dissipative
-            contr[i, j] = -1 if v.contractive_affine is None else int(v.contractive_affine)
-            if v.error is not None:
-                errors[(i, j)] = v.error
-    return GridAnalysis(spec=grid, mode=mode, a_norm=a_norm, b_norm=b_norm,
-                        eigenvalues=eigs, dissipative=diss, contractive=contr,
-                        errors=errors)
-
-
 # ---------------------------------------------------------------------------
 # Certification
 # ---------------------------------------------------------------------------
@@ -512,8 +471,7 @@ def _equilibrium_entries(net: MlpNetwork, analysis: AnalysisSpec) -> list:
     return entries
 
 
-def certificate_report(config: ExperimentConfig, threads: int = 1,
-                       equilibria: bool = True) -> dict:
+def certificate_report(config: ExperimentConfig, equilibria: bool = True) -> dict:
     """Layerwise check, sampled verdict sweep, and fixed-point bounds."""
     net = build_network(config)
     analysis = config.analysis
@@ -529,7 +487,7 @@ def certificate_report(config: ExperimentConfig, threads: int = 1,
     }
 
     if net.input_dim == 2 and net.output_dim == 2:
-        grid = grid_analysis(net, analysis.grid(), analysis.mode, threads)
+        grid = dissipativity.certify_region(net, analysis.grid(), analysis.mode)
         summary = grid.summary()
         report["grid"] = summary
         worst = grid.worst_cell()
@@ -698,15 +656,14 @@ def cmd_pwa(args) -> int:
 def cmd_grid(args) -> int:
     config = _load_config(args)
     out = _outdir(args)
-    threads = resolve_threads(args.threads)
     if args.checkpoint:
         # Post-hoc analysis of an identified model: the state map f is
         # the autonomous part, so it is what the grid interrogates.
         net = training.load_checkpoint(args.checkpoint)[0].f_net
     else:
         net = build_network(config)
-    analysis = grid_analysis(net, config.analysis.grid(), config.analysis.mode,
-                             threads)
+    analysis = dissipativity.certify_region(net, config.analysis.grid(),
+                                            config.analysis.mode)
     dissipativity.write_grid_csv(analysis, os.path.join(out, "grid.csv"))
     dissipativity.write_grid_json(analysis, os.path.join(out, "grid.json"))
     summary = analysis.summary()
@@ -842,8 +799,7 @@ def cmd_train(args) -> int:
 def cmd_certify(args) -> int:
     config = _load_config(args)
     out = _outdir(args)
-    threads = resolve_threads(args.threads)
-    report = certificate_report(config, threads=threads)
+    report = certificate_report(config)
     report["metadata"] = _metadata("certify", config)
     _write_json(os.path.join(out, "certificate.json"), report)
     line = f"certify: {report['status']}"
@@ -934,12 +890,10 @@ def cmd_sweep(args) -> int:
     def work(item):
         name, config = item
         try:
-            # Per-config work is single-threaded; parallelism comes from
-            # running configs side by side.  Equilibrium rollouts are a
-            # phase-portrait concern, not a certificate one, so the sweep
-            # skips them.
-            return name, config, certificate_report(config, threads=1,
-                                                    equilibria=False)
+            # Parallelism comes from running configs side by side.
+            # Equilibrium rollouts are a phase-portrait concern, not a
+            # certificate one, so the sweep skips them.
+            return name, config, certificate_report(config, equilibria=False)
         except Exception as exc:  # logged per config, sweep continues
             return name, config, exc
 
@@ -1003,17 +957,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, threads=False):
+    def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--preset", choices=sorted(PRESETS),
                        help="named built-in config")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="dotted-path override, e.g. network.depth=8")
         p.add_argument("--out", default="out", help="output directory")
-        if threads:
-            p.add_argument("--threads", type=int, default=None,
-                           help="worker threads (default: NEURODISSIP_THREADS "
-                                "or the machine's cpu count)")
 
     p = sub.add_parser("pwa", help="affine form and residual at one point")
     common(p)
@@ -1021,7 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pwa)
 
     p = sub.add_parser("grid", help="per-cell stability verdicts over a grid")
-    common(p, threads=True)
+    common(p)
     p.add_argument("--checkpoint", help="analyze the state network of a saved "
                                         "checkpoint instead of drawing one")
     p.set_defaults(func=cmd_grid)
@@ -1047,13 +997,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("certify", help="layerwise and sampled certificates")
-    common(p, threads=True)
+    common(p)
     p.add_argument("--assert", dest="assert_certified", action="store_true",
                    help="exit with status 2 when no certificate holds")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("sweep", help="certify every config in the study grid")
-    common(p, threads=True)
+    common(p)
+    p.add_argument("--threads", type=int, default=None,
+                   help="configs certified side by side (default: "
+                        "NEURODISSIP_THREADS or the machine's cpu count)")
     p.add_argument("--kinds", help="comma list of map kinds to keep")
     p.add_argument("--bounds", help="comma list of lo:hi bound pairs to keep")
     p.add_argument("--depths", help="comma list of depths to keep")

@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg
 from .activations import STABLE, get_activation, ray_gains
 from .network import MlpNetwork
-from .pwa import PwaForm, extract_pwa, extract_pwa_batch
+from .pwa import PwaForm, extract_pwa_batch
 
 __all__ = [
     "PointVerdict",
@@ -48,6 +48,8 @@ __all__ = [
 
 # Below this anchor norm the affine-contraction test is left undefined.
 _ORIGIN_TOL = 1e-12
+# Message on anchors whose decomposition, norm or eigenvalues failed.
+_ERROR = "non-finite decomposition or norm did not converge"
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,36 +197,6 @@ def _require_square(net: MlpNetwork) -> None:
         )
 
 
-def _verdict_fields(anchor, a, b):
-    a_norm = linalg.spectral_norm(a)
-    b_norm = float(np.sqrt(np.sum(b * b)))
-    eigs = linalg.eigenvalues(a)
-    x_norm = float(np.sqrt(np.sum(anchor * anchor)))
-    if x_norm < _ORIGIN_TOL:
-        contractive = None
-    else:
-        contractive = bool(a_norm < 1.0 - b_norm / x_norm)
-    return a_norm, b_norm, eigs, bool(a_norm < 1.0), contractive
-
-
-def point_verdict(net: MlpNetwork, x, mode: str = "linear") -> PointVerdict:
-    """Evaluate the pointwise stability facts at one anchor."""
-    _require_square(net)
-    form = extract_pwa(net, x, mode=mode)
-    a_norm, b_norm, eigs, diss, contr = _verdict_fields(
-        form.anchor, form.a_star, form.b_star
-    )
-    return PointVerdict(
-        anchor=form.anchor,
-        a_norm=a_norm,
-        b_norm=b_norm,
-        eigenvalues=eigs,
-        dissipative=diss,
-        contractive_affine=contr,
-        error=None,
-    )
-
-
 def _batched_fields(net: MlpNetwork, anchors: np.ndarray, mode: str):
     """Shared vectorized core: per-anchor norms, eigenvalues, flags, errors."""
     n = anchors.shape[0]
@@ -240,7 +212,12 @@ def _batched_fields(net: MlpNetwork, anchors: np.ndarray, mode: str):
     if dim == 2:
         eigs = linalg._eig2_batch(a_safe)
     else:
-        eigs = np.stack([linalg.eigenvalues(m) for m in a_safe])
+        eigs = np.empty((n, dim), dtype=complex)
+        for k, m in enumerate(a_safe):
+            try:
+                eigs[k] = linalg.eigenvalues(m)
+            except linalg.ConvergenceError:
+                bad[k] = True
     eigs[bad] = np.nan
 
     x_norm = np.sqrt(np.sum(anchors * anchors, axis=1))
@@ -277,12 +254,15 @@ def verdicts_at(net: MlpNetwork, anchors, mode: str = "linear") -> list[PointVer
                 eigenvalues=eigs[k],
                 dissipative=bool(diss[k]),
                 contractive_affine={1: True, 0: False, -1: None}[int(contr[k])],
-                error="non-finite decomposition or norm did not converge"
-                if bad[k]
-                else None,
+                error=_ERROR if bad[k] else None,
             )
         )
     return out
+
+
+def point_verdict(net: MlpNetwork, x, mode: str = "linear") -> PointVerdict:
+    """Evaluate the pointwise stability facts at one anchor (a batch of one)."""
+    return verdicts_at(net, [x], mode)[0]
 
 
 def certify_region(
@@ -306,8 +286,7 @@ def certify_region(
 
     r = grid.resolution
     errors = {
-        (int(k) // r, int(k) % r): "non-finite decomposition or norm did not converge"
-        for k in np.flatnonzero(bad)
+        (int(k) // r, int(k) % r): _ERROR for k in np.flatnonzero(bad)
     }
     return GridAnalysis(
         spec=grid,

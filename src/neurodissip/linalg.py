@@ -220,9 +220,9 @@ def _spectral_norm_batch(a: np.ndarray) -> np.ndarray:
     2x2 stacks use the closed form.  Larger stacks run the same two
     deterministic power-iteration starts as spectral_norm, vectorized,
     with the exact Jacobi route resolving any item whose gap stalls the
-    iteration.  Items with non-finite entries come back as nan; callers
-    turn those into per-item error markers instead of aborting the whole
-    sweep.
+    iteration.  Items with non-finite entries, or on which the Jacobi route
+    fails too, come back as nan; callers turn those into per-item error
+    markers instead of aborting the whole sweep.
     """
     if a.ndim != 3:
         raise ValueError(f"expected a stack of matrices, got ndim={a.ndim}")
@@ -241,7 +241,10 @@ def _spectral_norm_batch(a: np.ndarray) -> np.ndarray:
     both_nan = np.isnan(lam_a) & np.isnan(lam_b)
     lam = np.where(both_nan, np.nan, np.fmax(lam_a, lam_b))
     for i in np.flatnonzero(usable & np.isnan(lam)):
-        lam[i] = float(svd_bounded(a[i])[1][0]) ** 2
+        try:
+            lam[i] = float(svd_bounded(a[i])[1][0]) ** 2
+        except ConvergenceError:
+            pass  # stays nan: the caller's per-item error marker
     return np.sqrt(np.maximum(lam, 0.0))
 
 

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from neurodissip import cli, dissipativity, structured
+from neurodissip import cli, structured
 from neurodissip.cli import (
     ConfigError,
     ExperimentConfig,
@@ -17,12 +17,10 @@ from neurodissip.cli import (
     certificate_report,
     emit_config,
     enumerate_sweep,
-    grid_analysis,
     main,
     parse_config,
     sweep_rows,
 )
-from neurodissip.dissipativity import GridSpec
 
 
 def read_json(path):
@@ -195,28 +193,6 @@ class TestBuildNetwork:
             assert np.all(np.abs(layer.bias) <= 0.5)
 
 
-class TestGridAnalysis:
-    def test_threaded_matches_serial(self):
-        net = build_network(ExperimentConfig.from_dict(PRESETS["mixed-sigmoid"]))
-        grid = GridSpec(resolution=12)
-        serial = grid_analysis(net, grid, "linear", threads=1)
-        threaded = grid_analysis(net, grid, "linear", threads=4)
-        assert np.array_equal(serial.a_norm, threaded.a_norm)
-        assert np.array_equal(serial.dissipative, threaded.dissipative)
-        assert np.array_equal(serial.contractive, threaded.contractive)
-        assert serial.errors == threaded.errors
-
-    def test_matches_certify_region(self):
-        net = build_network(ExperimentConfig.from_dict(PRESETS["period-two"]))
-        grid = GridSpec(resolution=10)
-        chunked = grid_analysis(net, grid, "linear", threads=3)
-        reference = dissipativity.certify_region(net, grid, mode="linear")
-        assert np.array_equal(chunked.a_norm, reference.a_norm)
-        assert np.array_equal(chunked.b_norm, reference.b_norm)
-        assert np.array_equal(chunked.eigenvalues, reference.eigenvalues)
-        assert np.array_equal(chunked.dissipative, reference.dissipative)
-
-
 def preset_config(name, **analysis):
     data = json.loads(json.dumps(PRESETS[name]))
     data.setdefault("analysis", {}).update(analysis)
@@ -344,7 +320,7 @@ class TestPwaCommand:
 class TestGridCommand:
     def test_artifacts_and_counts(self, tmp_path):
         rc = main(["grid", "--preset", "contractive-relu", "--out", str(tmp_path),
-                   "--set", "analysis.resolution=10", "--threads", "2"])
+                   "--set", "analysis.resolution=10"])
         assert rc == 0
         rows = csv_rows(tmp_path / "grid.csv")
         assert len(rows) == 100
@@ -463,6 +439,21 @@ class TestCertifyCommand:
         rc = main(["certify", "--preset", "divergent-softplus",
                    "--out", str(tmp_path), "--set", "analysis.resolution=12"])
         assert rc == 0
+
+    @pytest.mark.parametrize("overrides", [
+        # Power iteration stalls and the Jacobi fallback does not converge.
+        ["network.width=8", "network.activation=relu",
+         "map.lambda_min=0.99", "map.lambda_max=1.01"],
+        # Francis QR does not deflate on some anchors.
+        ["network.width=16", "network.activation=relu", "map.kind=spectral_svd"],
+    ])
+    def test_convergence_failures_become_error_anchors(self, tmp_path, overrides):
+        argv = ["certify", "--out", str(tmp_path)]
+        for assignment in overrides:
+            argv += ["--set", assignment]
+        assert main(argv) == 0
+        sampled = read_json(tmp_path / "certificate.json")["sampled"]
+        assert sampled["errors"] > 0
 
 
 class TestSweepCommand:

@@ -153,6 +153,7 @@ class TestGrid:
         assert len(res.errors) == 9
         assert not res.dissipative.any()
         assert res.cell(0, 0).error is not None
+        assert point_verdict(net, [1.0, 1.0]).error is not None
 
     def test_grid_rejects_higher_dimensions(self):
         net = linear_net(0.5 * np.eye(3))
