@@ -48,7 +48,8 @@ __all__ = [
 
 # Below this anchor norm the affine-contraction test is left undefined.
 _ORIGIN_TOL = 1e-12
-# Message on anchors whose decomposition, norm or eigenvalues failed.
+# Message on anchors whose decomposition, norm or eigenvalues failed; the
+# wording is kept so that artifacts keep their bytes.
 _ERROR = "non-finite decomposition or norm did not converge"
 
 
@@ -207,29 +208,21 @@ def _batched_fields(net: MlpNetwork, anchors: np.ndarray, mode: str):
         b_norm = np.sqrt(np.sum(b * b, axis=1))
     bad = ~np.isfinite(a_norm) | ~np.isfinite(b_norm)
 
-    dim = net.input_dim
-    a_safe = np.where(bad[:, None, None], 0.0, a)
-    if dim == 2:
-        eigs = linalg._eig2_batch(a_safe)
-    else:
-        eigs = np.empty((n, dim), dtype=complex)
-        for k, m in enumerate(a_safe):
-            try:
-                eigs[k] = linalg.eigenvalues(m)
-            except linalg.ConvergenceError:
-                bad[k] = True
+    eigs = linalg._eigenvalues_batch(a)
+    bad |= np.isnan(eigs).any(axis=1)
     eigs[bad] = np.nan
+    a_upper = linalg.sigma_upper(a_norm, a.shape)
 
     x_norm = np.sqrt(np.sum(anchors * anchors, axis=1))
     contractive = np.full(n, -1, dtype=np.int8)
     defined = x_norm >= _ORIGIN_TOL
     with np.errstate(invalid="ignore", divide="ignore"):
-        ok = a_norm < 1.0 - b_norm / np.where(defined, x_norm, 1.0)
+        ok = a_upper < 1.0 - b_norm / np.where(defined, x_norm, 1.0)
     contractive[defined & ok] = 1
     contractive[defined & ~ok] = 0
     contractive[bad] = 0
 
-    dissipative = np.where(bad, False, a_norm < 1.0)
+    dissipative = np.where(bad, False, a_upper < 1.0)
     a_norm = np.where(bad, np.nan, a_norm)
     b_norm = np.where(bad, np.nan, b_norm)
     return a_norm, b_norm, eigs, dissipative.astype(bool), contractive, bad
@@ -270,9 +263,9 @@ def certify_region(
 ) -> GridAnalysis:
     """Sweep a 2-D grid of cell centers and record per-cell verdicts.
 
-    Per-cell numerical failures (overflowed decompositions, norms that did
-    not converge) become error markers on those cells; the sweep always
-    completes.
+    Per-cell numerical failures (overflowed decompositions, norms or
+    eigenvalues LAPACK failed on) become error markers on those cells; the
+    sweep always completes.
     """
     _require_square(net)
     if net.input_dim != 2:
@@ -322,7 +315,8 @@ def layerwise_certificate(
                     lambda_bound = max(
                         lambda_bound, float(np.max(np.abs(ray_gains(act, zs))))
                     )
-    strict = all(w < 1.0 for w in w_norms)
+    strict = all(linalg.sigma_upper(w, layer.weight.shape) < 1.0
+                 for w, layer in zip(w_norms, net.layers))
     weak = all(w <= 1.0 for w in w_norms) and any(w < 1.0 for w in w_norms)
     return LayerwiseCertificate(
         certified=analytic and strict,

@@ -353,10 +353,7 @@ def depth_spectra(
             raise ValueError("depths must be at least 1")
         net = MlpNetwork(layers=tuple(layer for _ in range(depth)))
         a, _ = extract_pwa_batch(net, anchors, mode=mode)
-        if cols == 2:
-            eigs = linalg._eig2_batch(a)
-        else:
-            eigs = np.stack([linalg.eigenvalues(m) for m in a])
+        eigs = linalg._eigenvalues_batch(a)
         moduli = np.abs(eigs).ravel()
         hi = float(moduli.max()) if moduli.size and moduli.max() > 0 else 1.0
         counts, edges = np.histogram(moduli, bins=bins, range=(0.0, hi))

@@ -326,7 +326,7 @@ def guarantee_report(slm: StructuredLinearMap, w: Optional[np.ndarray] = None) -
     if w is None:
         w = slm.realize()
     report: dict = {"kind": slm.kind, "rows": slm.rows, "cols": slm.cols}
-    _, sing, _ = linalg.svd_bounded(w)
+    _, sing, _ = linalg.svd(w)
     report["singular_values"] = [float(s) for s in sing]
     eigs = None
     if w.shape[0] == w.shape[1]:

@@ -904,7 +904,7 @@ def dissipativity_regularizer(net: MlpNetwork, anchors, mode: str = "linear"):
         if not np.isfinite(a).all():
             total += np.inf
             continue
-        u, s, v = linalg.svd_bounded(a)
+        u, s, v = linalg.svd(a)
         norm = float(s[0])
         total += max(1.0, norm)
         if norm <= 1.0:

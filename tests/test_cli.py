@@ -441,19 +441,21 @@ class TestCertifyCommand:
         assert rc == 0
 
     @pytest.mark.parametrize("overrides", [
-        # Power iteration stalls and the Jacobi fallback does not converge.
+        # Rank-deficient A(x) whose top singular values lie within 6e-4
+        # of one another.
         ["network.width=8", "network.activation=relu",
          "map.lambda_min=0.99", "map.lambda_max=1.01"],
-        # Francis QR does not deflate on some anchors.
+        # Width-16 A(x) on which an earlier QR eigenvalue iteration failed
+        # to deflate.
         ["network.width=16", "network.activation=relu", "map.kind=spectral_svd"],
     ])
-    def test_convergence_failures_become_error_anchors(self, tmp_path, overrides):
+    def test_wide_relu_anchors_have_no_errors(self, tmp_path, overrides):
         argv = ["certify", "--out", str(tmp_path)]
         for assignment in overrides:
             argv += ["--set", assignment]
         assert main(argv) == 0
         sampled = read_json(tmp_path / "certificate.json")["sampled"]
-        assert sampled["errors"] > 0
+        assert sampled["errors"] == 0
 
 
 class TestSweepCommand:

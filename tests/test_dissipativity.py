@@ -219,6 +219,35 @@ class TestLayerwiseCertificate:
         assert res.summary()["errors"] == 0
 
 
+class TestRoundingMargin:
+    """A computed sigma_1 one ulp below 1 is no proof of dissipativity."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [2, 8])
+    @pytest.mark.parametrize("top, holds", [(1.0 - EPS, False), (1.0 - 1e-6, True)])
+    def test_strict_verdicts_need_the_margin(self, n, top, holds):
+        d = np.diag([top] + [0.5] * (n - 1))
+        v = point_verdict(linear_net(d), np.ones(n))
+        assert v.a_norm < 1.0  # the reported norm stays the computed one
+        assert v.dissipative is holds
+        assert v.contractive_affine is holds
+        cert = layerwise_certificate(
+            MlpNetwork(layers=(Layer(weight=d, activation="relu"),)))
+        assert cert.certified is holds
+        assert cert.certified_relaxed
+
+    def test_eigenvalue_failures_become_error_anchors(self, monkeypatch):
+        def failing_eigvals(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+        rng = np.random.default_rng(8)
+        net = scaled_tanh_net(rng, [3, 4, 3], 0.9)
+        verdicts = verdicts_at(net, rng.standard_normal((5, 3)))
+        assert all(v.error is not None and not v.dissipative for v in verdicts)
+
+
 class TestEquilibriumBounds:
     def test_symmetric_case_bounds_coincide(self):
         form = extract_pwa(linear_net(0.5 * np.eye(2), b=[1.0, 0.0]), [0.0, 0.0])
@@ -254,7 +283,7 @@ class TestEquilibriumBounds:
             net = linear_net(a, b=b)
             form = extract_pwa(net, np.zeros(n))
             eq = equilibrium_bounds(form)
-            x_bar = linalg.solve_linear(np.eye(n) - a, b)
+            x_bar = np.linalg.solve(np.eye(n) - a, b)
             norm = np.linalg.norm(x_bar)
             assert eq.lower - 1e-9 <= norm <= eq.upper + 1e-9
 
