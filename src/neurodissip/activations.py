@@ -29,7 +29,7 @@ The selu and gelu constants are the canonical published values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import erf, expit
@@ -74,9 +74,16 @@ class Activation:
     value_at_zero: float
     slope_at_zero: float  # right-hand derivative at 0
     stability_class: str
+    joint: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __call__(self, z):
         return self.fn(np.asarray(z, dtype=float))
+
+    def value_and_slope(self, z):
+        """(fn(z), deriv(z)) bit for bit, sharing work where ``joint`` does."""
+        if self.joint is None:
+            return self.fn(z), self.deriv(z)
+        return self.joint(z)
 
 
 def _sigmoid(z):
@@ -90,6 +97,11 @@ def _norm_cdf(z):
 
 def _norm_pdf(z):
     return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+
+
+def _gelu_joint(z):
+    cdf = _norm_cdf(z)
+    return z * cdf, cdf + z * _norm_pdf(z)
 
 
 def _selu(z):
@@ -109,9 +121,10 @@ def _elu(z):
 ACTIVATIONS: dict[str, Activation] = {}
 
 
-def _register(name, fn, deriv, value_at_zero, slope_at_zero, stability_class):
+def _register(name, fn, deriv, value_at_zero, slope_at_zero, stability_class,
+              joint=None):
     ACTIVATIONS[name] = Activation(
-        name, fn, deriv, value_at_zero, slope_at_zero, stability_class
+        name, fn, deriv, value_at_zero, slope_at_zero, stability_class, joint
     )
 
 
@@ -127,7 +140,7 @@ _register("sigmoid", _sigmoid, lambda z: _sigmoid(z) * (1.0 - _sigmoid(z)),
 _register("gelu",
           lambda z: z * _norm_cdf(z),
           lambda z: _norm_cdf(z) + z * _norm_pdf(z),
-          0.0, 0.5, STABLE)
+          0.0, 0.5, STABLE, joint=_gelu_joint)
 _register("selu", _selu, _selu_deriv, 0.0, SELU_SCALE, UNSTABLE_REGIONS)
 _register("softplus", lambda z: np.logaddexp(0.0, z), _sigmoid,
           float(np.log(2.0)), 0.5, UNSTABLE_REGIONS)

@@ -339,9 +339,10 @@ def equilibrium_bounds(form: PwaForm) -> EquilibriumBounds:
             "A(x) is within 1e-12 of the identity; equilibrium bounds are "
             "degenerate"
         )
-    a_norm = linalg.spectral_norm(a)
-    lower = b_norm / denom
-    upper = b_norm / (1.0 - a_norm) if a_norm < 1.0 else float("inf")
+    # Both divisors carry the rounding margin, so the bracket stays sound.
+    a_upper = linalg.sigma_upper(linalg.spectral_norm(a), a.shape)
+    lower = b_norm / linalg.sigma_upper(denom, a.shape)
+    upper = b_norm / (1.0 - a_upper) if a_upper < 1.0 else float("inf")
     return EquilibriumBounds(lower=lower, upper=upper, norm_p=2)
 
 

@@ -8,7 +8,9 @@ Two benchmark plants are provided for system identification:
 * ``two_tank``: two gravity-drained tanks in series with a pump and a
   valve input; levels clamp at empty and stop filling past full.
 
-Integration is fixed-step RK4 (or Euler) with zero-order-hold inputs.
+Integration is fixed-step RK4 (or Euler) with zero-order-hold inputs,
+stepped on Python floats: a per-step numpy call would cost more than the
+arithmetic of a two-state plant.
 Datasets follow the 3000-sample protocol with contiguous
 train/dev/test thirds and carry min-max normalization constants so models
 can train in [-1, 1] and report in physical units.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -124,66 +127,95 @@ def make_plant(kind: str, parameters: Optional[dict] = None) -> PlantModel:
     raise ValueError(f"unknown plant kind {kind!r}")
 
 
-def cstr_derivative(x, u, p: dict) -> np.ndarray:
-    """Reactor state derivative (concentration, temperature).
+def _cstr_kernel(p: dict):
+    """Reactor derivative on Python floats: (x1, x2, u) -> (dx1, dx2).
 
     Arrhenius reaction consuming x1, energy balance on x2 with feed,
-    reaction heating, and jacket cooling (UA/(V rho cp))(u - x2).
+    reaction heating, and jacket cooling (UA/(V rho cp))(u - x2).  The
+    constant groups are folded once; the Arrhenius factor stays np.exp,
+    whose last bit differs from math.exp on some arguments.
     """
-    x = np.asarray(x, dtype=float)
-    u_val = float(np.asarray(u, dtype=float).reshape(-1)[0])
-    if x[1] <= 0.0:
-        raise ValueError(
-            f"non-physical reactor temperature {x[1]} (absolute scale)"
-        )
-    r = p["k0"] * np.exp(-p["ER"] / x[1]) * x[0]
+    k0, er, caf, tf = p["k0"], p["ER"], p["Caf"], p["Tf"]
     qv = p["q"] / p["V"]
-    d_conc = qv * (p["Caf"] - x[0]) - r
-    d_temp = (
-        qv * (p["Tf"] - x[1])
-        + (p["dH"] / (p["rho"] * p["cp"])) * r
-        + (p["UA"] / (p["V"] * p["rho"] * p["cp"])) * (u_val - x[1])
-    )
-    return np.array([d_conc, d_temp])
+    heat = p["dH"] / (p["rho"] * p["cp"])
+    cool = p["UA"] / (p["V"] * p["rho"] * p["cp"])
+
+    def derivative(x1, x2, u):
+        if x2 <= 0.0:
+            raise ValueError(
+                f"non-physical reactor temperature {x2} (absolute scale)"
+            )
+        r = k0 * float(np.exp(-er / x2)) * x1
+        return (qv * (caf - x1) - r,
+                qv * (tf - x2) + heat * r + cool * (u[0] - x2))
+
+    return derivative
 
 
-def two_tank_derivative(x, u, p: dict) -> np.ndarray:
-    """Tank level derivatives with overflow shutoff.
+def _two_tank_kernel(p: dict):
+    """Tank level derivatives on Python floats, with overflow shutoff.
 
     A level past full stops rising (derivative clamped to zero when the
     formula is positive) but may still drain; square roots are taken on
     the nonnegative part so tiny negative levels cannot produce NaNs.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float).reshape(-1)
     c1, c2 = p["c1"], p["c2"]
-    root1 = np.sqrt(max(x[0], 0.0))
-    root2 = np.sqrt(max(x[1], 0.0))
-    d1 = (1.0 - u[0]) * c1 * u[1] - c2 * root1
-    d2 = c1 * u[0] * u[1] + c2 * root1 - c2 * root2
-    if x[0] > 1.0 and d1 > 0.0:
-        d1 = 0.0
-    if x[1] > 1.0 and d2 > 0.0:
-        d2 = 0.0
-    return np.array([d1, d2])
+
+    def derivative(x1, x2, u):
+        root1 = math.sqrt(max(x1, 0.0))
+        root2 = math.sqrt(max(x2, 0.0))
+        d1 = (1.0 - u[0]) * c1 * u[1] - c2 * root1
+        d2 = c1 * u[0] * u[1] + c2 * root1 - c2 * root2
+        if x1 > 1.0 and d1 > 0.0:
+            d1 = 0.0
+        if x2 > 1.0 and d2 > 0.0:
+            d2 = 0.0
+        return d1, d2
+
+    return derivative
+
+
+_KERNELS = {"cstr": _cstr_kernel, "two_tank": _two_tank_kernel}
+
+
+def _as_array(kernel, x, u) -> np.ndarray:
+    x = np.asarray(x, dtype=float).reshape(-1)
+    u = np.asarray(u, dtype=float).reshape(-1).tolist()
+    return np.array(kernel(float(x[0]), float(x[1]), u))
+
+
+def cstr_derivative(x, u, p: dict) -> np.ndarray:
+    """Reactor state derivative (concentration, temperature)."""
+    return _as_array(_cstr_kernel(p), x, u)
+
+
+def two_tank_derivative(x, u, p: dict) -> np.ndarray:
+    """Tank level derivatives with overflow shutoff."""
+    return _as_array(_two_tank_kernel(p), x, u)
 
 
 def plant_derivative(plant: PlantModel, x, u) -> np.ndarray:
-    if plant.kind == "cstr":
-        return cstr_derivative(x, u, plant.parameters)
-    return two_tank_derivative(x, u, plant.parameters)
+    return _as_array(_KERNELS[plant.kind](plant.parameters), x, u)
 
 
-def _rk4_step(plant: PlantModel, x: np.ndarray, u, dt: float) -> np.ndarray:
-    k1 = plant_derivative(plant, x, u)
-    k2 = plant_derivative(plant, x + 0.5 * dt * k1, u)
-    k3 = plant_derivative(plant, x + 0.5 * dt * k2, u)
-    k4 = plant_derivative(plant, x + dt * k3, u)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(f, x1, x2, u, h):
+    a1, b1 = f(x1, x2, u)
+    a2, b2 = f(x1 + 0.5 * h * a1, x2 + 0.5 * h * b1, u)
+    a3, b3 = f(x1 + 0.5 * h * a2, x2 + 0.5 * h * b2, u)
+    a4, b4 = f(x1 + h * a3, x2 + h * b3, u)
+    return (x1 + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+            x2 + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
 
 
-def _euler_step(plant: PlantModel, x: np.ndarray, u, dt: float) -> np.ndarray:
-    return x + dt * plant_derivative(plant, x, u)
+def _euler_step(f, x1, x2, u, h):
+    a, b = f(x1, x2, u)
+    return x1 + h * a, x2 + h * b
+
+
+def _clip(v, lo, hi):
+    """np.clip of one float: NaN passes, a zero at a bound takes its sign."""
+    v = lo if v <= lo else v
+    return hi if v >= hi else v
 
 
 @dataclass(frozen=True)
@@ -308,22 +340,24 @@ def integrate(
         raise ValueError(f"inputs must have {plant.input_dim} channels")
 
     n = inputs.shape[0]
+    f = _KERNELS[plant.kind](plant.parameters)
+    x1, x2 = x.tolist()
+    (lo1, lo2), (hi1, hi2) = plant.state_bounds.tolist()
+    h = float(dt) / substeps
     states = np.empty((n, plant.state_dim))
     states[0] = x
-    lower, upper = plant.state_bounds
-    h = dt / substeps
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n - 1):
-            x = states[k]
+            u = inputs[k].tolist()
             for _ in range(substeps):
-                x = step(plant, x, inputs[k], h)
+                x1, x2 = step(f, x1, x2, u, h)
                 if plant.clamp_states:
-                    x = np.clip(x, lower, upper)
-            if not np.isfinite(x).all():
+                    x1, x2 = _clip(x1, lo1, hi1), _clip(x2, lo2, hi2)
+            if not (math.isfinite(x1) and math.isfinite(x2)):
                 raise IntegrationError(
                     f"state became non-finite at step {k + 1}", step=k + 1
                 )
-            states[k + 1] = x
+            states[k + 1] = x1, x2
     return PlantDataset(
         plant=plant, dt=dt, states=states, inputs=inputs,
         splits=_third_splits(n), seed=seed,

@@ -183,23 +183,30 @@ def _net_spec(net: MlpNetwork):
 
 
 def _mlp_forward(spec, h):
-    """Batched forward through one spec; returns output, inputs, pre-acts."""
-    hs, zs = [], []
+    """Batched forward through one spec; returns output, inputs, slopes.
+
+    A layer's slope is its activation's derivative at the pre-activation
+    (None for a linear layer), which is all backward needs of it.
+    """
+    hs, slopes = [], []
     for w, b, act in spec:
         hs.append(h)
         z = h @ w.T
         if b is not None:
             z = z + b
-        zs.append(z)
-        h = act.fn(z) if act is not None else z
-    return h, hs, zs
+        if act is None:
+            h, slope = z, None
+        else:
+            h, slope = act.value_and_slope(z)
+        slopes.append(slope)
+    return h, hs, slopes
 
 
-def _mlp_backward(spec, hs, zs, gout, gw, gb):
+def _mlp_backward(spec, hs, slopes, gout, gw, gb):
     """Accumulate parameter gradients; returns the input gradient."""
     for l in range(len(spec) - 1, -1, -1):
-        w, b, act = spec[l]
-        gz = gout * act.deriv(zs[l]) if act is not None else gout
+        w, b, _ = spec[l]
+        gz = gout if slopes[l] is None else gout * slopes[l]
         gw[l] += gz.T @ hs[l]
         if b is not None:
             gb[l] += gz.sum(axis=0)
@@ -220,10 +227,10 @@ def _bptt_forward(spec_f, spec_g, xs, us):
     err = np.empty((b, steps, n_x))
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
-            out_f, hf, zf = _mlp_forward(spec_f, xh)
-            out_g, hg, zg = _mlp_forward(spec_g, us[:, t])
-            f_traces.append((hf, zf))
-            g_traces.append((hg, zg))
+            out_f, hf, sf = _mlp_forward(spec_f, xh)
+            out_g, hg, sg = _mlp_forward(spec_g, us[:, t])
+            f_traces.append((hf, sf))
+            g_traces.append((hg, sg))
             xh = out_f + out_g
             err[:, t] = xh - xs[:, t + 1]
         loss = float(np.sum(err * err) / err.size)
@@ -242,10 +249,10 @@ def _bptt_backward(spec_f, spec_g, f_traces, g_traces, err):
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps - 1, -1, -1):
             delta = delta + scale * err[:, t]
-            hg, zg = g_traces[t]
-            _mlp_backward(spec_g, hg, zg, delta, gw_g, gb_g)
-            hf, zf = f_traces[t]
-            delta = _mlp_backward(spec_f, hf, zf, delta, gw_f, gb_f)
+            hg, sg = g_traces[t]
+            _mlp_backward(spec_g, hg, sg, delta, gw_g, gb_g)
+            hf, sf = f_traces[t]
+            delta = _mlp_backward(spec_f, hf, sf, delta, gw_f, gb_f)
     return gw_f, gb_f, gw_g, gb_g
 
 
@@ -254,7 +261,8 @@ class GradientTape:
     """Gradients of one window's rollout loss, aligned with the layers.
 
     Bias slots are None exactly where the layer has no bias.  The step
-    records hold each step's layer inputs and pre-activations in forward
+    records hold each step's layer inputs and activation slopes (the
+    derivative at the pre-activation, None for a linear layer) in forward
     order.
     """
 
@@ -285,8 +293,8 @@ def backward(model: BlockSSM, states, inputs, horizon: int) -> GradientTape:
         f_bias_grads=gb_f,
         g_weight_grads=gw_g,
         g_bias_grads=gb_g,
-        f_steps=[(hs, zs) for hs, zs in f_traces],
-        g_steps=[(hs, zs) for hs, zs in g_traces],
+        f_steps=f_traces,
+        g_steps=g_traces,
     )
 
 

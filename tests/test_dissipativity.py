@@ -268,6 +268,14 @@ class TestEquilibriumBounds:
         assert np.isinf(eq.upper)
         assert eq.lower > 0.0
 
+    @pytest.mark.parametrize("top, finite", [(1.0 - np.finfo(float).eps, False),
+                                             (1.0 - 1e-6, True)])
+    def test_upper_bound_needs_the_margin(self, top, finite):
+        form = extract_pwa(linear_net(np.diag([top, 0.5]), b=[1.0, 0.0]), [0.0, 0.0])
+        eq = equilibrium_bounds(form)
+        assert bool(np.isfinite(eq.upper)) is finite
+        assert eq.lower <= 1.0 / (1.0 - top) <= eq.upper
+
     def test_identity_map_degenerate(self):
         form = extract_pwa(linear_net(np.eye(2), b=[1.0, 0.0]), [0.0, 0.0])
         with pytest.raises(ValueError, match="identity"):

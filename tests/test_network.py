@@ -57,6 +57,14 @@ class TestActivationValues:
         with pytest.raises(ValueError, match="unknown activation"):
             get_activation("swishish")
 
+    def test_value_and_slope_match_fn_and_deriv_bitwise(self):
+        special = [0.0, EPS_Z, -EPS_Z, 1e-3, -1e-3, 1.0, -1.0, 40.0, -40.0]
+        z = np.concatenate([special, np.random.default_rng(3).standard_normal(1000)])
+        for act in ACTIVATIONS.values():
+            value, slope = act.value_and_slope(z)
+            assert value.tobytes() == act.fn(z).tobytes(), act.name
+            assert slope.tobytes() == act.deriv(z).tobytes(), act.name
+
 
 class TestGains:
     def test_relu_branches(self):

@@ -1,6 +1,7 @@
 """Tests for the benchmark plants, integrator, and dataset protocol."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from neurodissip.plants import (
     load_dataset,
     make_plant,
     minmax_constants,
+    plant_derivative,
     to_unit_range,
     two_tank_derivative,
     write_dataset,
@@ -48,6 +50,64 @@ def cstr_steady_temperature(u: float, p: dict) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def reference_derivative(plant, x, u) -> np.ndarray:
+    """The plant derivatives in array form, as integrate computed them before
+    it stepped on Python floats."""
+    p = plant.parameters
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if plant.kind == "cstr":
+        if x[1] <= 0.0:
+            raise ValueError(f"non-physical reactor temperature {x[1]}")
+        r = p["k0"] * np.exp(-p["ER"] / x[1]) * x[0]
+        qv = p["q"] / p["V"]
+        return np.array([
+            qv * (p["Caf"] - x[0]) - r,
+            qv * (p["Tf"] - x[1])
+            + (p["dH"] / (p["rho"] * p["cp"])) * r
+            + (p["UA"] / (p["V"] * p["rho"] * p["cp"])) * (u[0] - x[1]),
+        ])
+    root1 = np.sqrt(max(x[0], 0.0))
+    root2 = np.sqrt(max(x[1], 0.0))
+    d1 = (1.0 - u[0]) * p["c1"] * u[1] - p["c2"] * root1
+    d2 = p["c1"] * u[0] * u[1] + p["c2"] * root1 - p["c2"] * root2
+    if x[0] > 1.0 and d1 > 0.0:
+        d1 = 0.0
+    if x[1] > 1.0 and d2 > 0.0:
+        d2 = 0.0
+    return np.array([d1, d2])
+
+
+def reference_rk4_step(plant, x, u, dt):
+    k1 = reference_derivative(plant, x, u)
+    k2 = reference_derivative(plant, x + 0.5 * dt * k1, u)
+    k3 = reference_derivative(plant, x + 0.5 * dt * k2, u)
+    k4 = reference_derivative(plant, x + dt * k3, u)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_euler_step(plant, x, u, dt):
+    return x + dt * reference_derivative(plant, x, u)
+
+
+def reference_states(plant, x0, inputs, dt, method="rk4", substeps=1):
+    """integrate's states, stepped on arrays one numpy call at a time."""
+    step = {"rk4": reference_rk4_step, "euler": reference_euler_step}[method]
+    inputs = np.asarray(inputs, dtype=float).reshape(len(inputs), -1)
+    states = np.empty((inputs.shape[0], plant.state_dim))
+    states[0] = x0
+    lower, upper = plant.state_bounds
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(inputs.shape[0] - 1):
+            x = states[k]
+            for _ in range(substeps):
+                x = step(plant, x, inputs[k], dt / substeps)
+                if plant.clamp_states:
+                    x = np.clip(x, lower, upper)
+            states[k + 1] = x
+    return states
 
 
 class TestCstrDerivative:
@@ -185,6 +245,52 @@ class TestIntegrate:
             integrate(plant, [0, 0], np.zeros((5, 2)), dt=1.0, method="rk8")
         with pytest.raises(ValueError, match="dt"):
             integrate(plant, [0, 0], np.zeros((5, 2)), dt=0.0)
+
+
+class TestMatchesArrayReference:
+    """integrate and the public derivatives equal the array form bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 506])  # 506 crosses the ignition
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    def test_cstr_dataset(self, seed, method):
+        ds = benchmark_dataset("cstr", seed=seed, samples=900, method=method)
+        ref = reference_states(ds.plant, [0.878, 324.5], ds.inputs, dt=0.05,
+                               method=method, substeps=40)
+        np.testing.assert_array_equal(ds.states, ref)
+        assert ds.states.tobytes() == ref.tobytes()
+
+    def test_two_tank_dataset_with_active_clamp(self):
+        ds = benchmark_dataset("two_tank", seed=0, samples=3000)
+        ref = reference_states(ds.plant, [0.0, 0.0], ds.inputs, dt=1.0)
+        unclamped = dataclasses.replace(ds.plant, clamp_states=False)
+        assert not np.array_equal(
+            ref, reference_states(unclamped, [0.0, 0.0], ds.inputs, dt=1.0))
+        np.testing.assert_array_equal(ds.states, ref)
+        assert ds.states.tobytes() == ref.tobytes()
+
+    def test_failures_still_raise(self):
+        u = np.full(50, 300.0)
+        runaway = make_plant("cstr", parameters={"k0": 1e300})
+        with pytest.raises(ValueError, match="non-physical reactor temperature -inf"):
+            integrate(runaway, [0.9, 400.0], u, dt=1.0)
+        with pytest.raises(ValueError, match="non-physical"):
+            integrate(make_plant("cstr"), [0.9, 400.0], u, dt=5.0)
+        inputs = np.zeros((5, 2))
+        inputs[2, 1] = np.nan
+        with pytest.raises(IntegrationError) as info:
+            integrate(make_plant("two_tank"), [0.5, 0.5], inputs, dt=1.0)
+        assert info.value.step == 3
+
+    def test_public_derivatives(self):
+        rng = np.random.default_rng(11)
+        for kind, lo, hi in (("cstr", [0.0, 280.0, 290.0], [1.0, 480.0, 310.0]),
+                             ("two_tank", [-0.1, -0.1, 0.0, 0.0],
+                              [1.3, 1.3, 1.0, 1.0])):
+            plant = make_plant(kind)
+            for point in rng.uniform(lo, hi, (200, len(lo))):
+                x, u = point[:2], point[2:]
+                assert (plant_derivative(plant, x, u).tobytes()
+                        == reference_derivative(plant, x, u).tobytes())
 
 
 class TestExcitation:

@@ -252,14 +252,25 @@ class TestBackward:
             f_net=make_mlp((2, 4, 2), seed=1),
             g_net=make_mlp((1, 4, 2), seed=2),
         )
-        states = np.zeros((5, 2))
-        inputs = np.zeros((5, 1))
+        rng = np.random.default_rng(4)
+        states = rng.uniform(-1, 1, (5, 2))
+        inputs = rng.uniform(-1, 1, (5, 1))
         tape = backward(model, states, inputs, horizon=4)
         for grads, net in ((tape.f_weight_grads, model.f_net),
                            (tape.g_weight_grads, model.g_net)):
             for g, layer in zip(grads, net.layers):
                 assert g.shape == layer.weight.shape
         assert len(tape.f_steps) == 4
+        for steps, net in ((tape.f_steps, model.f_net), (tape.g_steps, model.g_net)):
+            for hs, slopes in steps:
+                for h, slope, layer in zip(hs, slopes, net.layers):
+                    z = h @ layer.weight.T
+                    if layer.bias is not None:
+                        z = z + layer.bias
+                    if layer.act is None:
+                        assert slope is None
+                    else:
+                        np.testing.assert_array_equal(slope, layer.act.deriv(z))
 
     def test_backward_is_deterministic(self):
         model = BlockSSM(
