@@ -202,7 +202,7 @@ def _batched_fields(net: MlpNetwork, anchors: np.ndarray, mode: str):
     """Shared vectorized core: per-anchor norms, eigenvalues, flags, errors."""
     n = anchors.shape[0]
     with np.errstate(invalid="ignore", over="ignore"):
-        a, b = extract_pwa_batch(net, anchors, mode=mode)
+        a, b = extract_pwa_batch(net, anchors, mode=mode)[:2]
     a_norm = linalg._spectral_norm_batch(a)
     with np.errstate(invalid="ignore", over="ignore"):
         b_norm = np.sqrt(np.sum(b * b, axis=1))
@@ -346,17 +346,48 @@ def equilibrium_bounds(form: PwaForm) -> EquilibriumBounds:
     return EquilibriumBounds(lower=lower, upper=upper, norm_p=2)
 
 
-def dissipativity_penalty(net: MlpNetwork, anchors, mode: str = "linear") -> float:
-    """Mean over anchors of max(1, ||A(x)||_2); the training regularizer."""
+def dissipativity_penalty(net: MlpNetwork, anchors):
+    """Mean over anchors of max(1, ||A(x)||_2), with its weight gradients.
+
+    The training regularizer, in the "linear" gain convention.  Returns
+    (value, weight_grads), one gradient per layer; the value is inf when
+    any anchor's A(x) overflows.  The gradient of ||A|| = u^T A v goes
+    through the factored product A = D_L W_L ... D_1 W_1 with the leading
+    singular pair, holding the activation gains D_l fixed (their
+    dependence on the weights is not differentiated; for piecewise-linear
+    activations it is not differentiable in the first place).
+    """
     _require_square(net)
     anchors = np.asarray(anchors, dtype=float)
     if anchors.ndim != 2:
         raise ValueError(f"anchors must be (n, dim), got shape {anchors.shape}")
-    a, _ = extract_pwa_batch(net, anchors, mode=mode)
+    with np.errstate(invalid="ignore", over="ignore"):
+        a, _, lambdas = extract_pwa_batch(net, anchors, mode="linear")
     norms = linalg._spectral_norm_batch(a)
-    if np.any(~np.isfinite(norms)):
-        raise linalg.LinAlgError("penalty undefined: non-finite norms at anchors")
-    return float(np.mean(np.maximum(1.0, norms)))
+    grads = [np.zeros_like(layer.weight) for layer in net.layers]
+    if not np.isfinite(norms).all():
+        return float("inf"), grads
+    over = norms > 1.0
+    if over.any():
+        u, _, vt = np.linalg.svd(a[over])
+        it = iter(lambdas)
+        gains = [None if layer.activation is None else next(it)[over]
+                 for layer in net.layers]
+        # Up the layers: rights[l] = R_l v, the input of layer l along v.
+        r, rights = vt[:, 0, :], []
+        for layer, g in zip(net.layers, gains):
+            rights.append(r)
+            r = r @ layer.weight.T
+            r = r if g is None else g * r
+        # Down the layers: left = L_l^T u; layer l's gradient sums
+        # (D_l L_l^T u)(R_l v)^T over the anchors.
+        left = u[:, :, 0]
+        for i in range(len(net.layers) - 1, -1, -1):
+            g = gains[i]
+            d = left if g is None else g * left
+            grads[i] = (d.T @ rights[i]) / anchors.shape[0]
+            left = d @ net.layers[i].weight
+    return float(np.mean(np.maximum(1.0, norms))), grads
 
 
 def lhs_anchors(dim: int, count: int, bounds, seed: int) -> np.ndarray:

@@ -253,7 +253,7 @@ def _rollout_tails(net: MlpNetwork, starts: np.ndarray, steps: int, window: int)
             if idx.size == 0:
                 break
             cur = x[idx]
-            nxt, _ = net.forward_batch(cur)
+            nxt, _ = net.forward_trace(cur)
             norms = np.sqrt(np.sum(nxt * nxt, axis=1))
             steps_len = np.sqrt(np.sum((nxt - cur) ** 2, axis=1))
 
@@ -352,7 +352,7 @@ def depth_spectra(
         if depth < 1:
             raise ValueError("depths must be at least 1")
         net = MlpNetwork(layers=tuple(layer for _ in range(depth)))
-        a, _ = extract_pwa_batch(net, anchors, mode=mode)
+        a = extract_pwa_batch(net, anchors, mode=mode)[0]
         eigs = linalg._eigenvalues_batch(a)
         moduli = np.abs(eigs).ravel()
         hi = float(moduli.max()) if moduli.size and moduli.max() > 0 else 1.0

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "LinAlgError",
     "as_matrix",
     "as_vector",
     "spectral_norm",
@@ -23,10 +22,6 @@ __all__ = [
     "eigenvalues",
     "svd",
 ]
-
-
-class LinAlgError(RuntimeError):
-    """Base class for numerical failures in this package."""
 
 
 def as_matrix(a, name="a") -> np.ndarray:

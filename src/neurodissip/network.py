@@ -93,36 +93,21 @@ class MlpNetwork:
         return self.layers[-1].rows
 
     def forward(self, x) -> np.ndarray:
-        """Evaluate the network at a single point."""
+        """Evaluate the network at a point (dim,) or a batch (n, dim)."""
         return self.forward_trace(x)[0]
 
     def forward_trace(self, x):
         """Evaluate and return (output, pre-activations per layer).
 
-        The trace holds z_l = W_l h_l + b_l for every layer, including an
+        x is one point (dim,) or a batch (n, dim); a point is the batch
+        of one, bit for bit, since h @ W.T on a vector equals W @ h.  The
+        trace holds z_l = h_l W_l^T + b_l for every layer, including an
         unactivated readout (whose z is the output itself).
         """
         h = np.asarray(x, dtype=float)
-        if h.shape != (self.input_dim,):
+        if h.ndim not in (1, 2) or h.shape[-1] != self.input_dim:
             raise ValueError(
                 f"input shape {h.shape} does not match network input "
-                f"dimension {self.input_dim}"
-            )
-        zs = []
-        for layer in self.layers:
-            z = layer.weight @ h
-            if layer.bias is not None:
-                z = z + layer.bias
-            zs.append(z)
-            h = layer.act.fn(z) if layer.activation is not None else z
-        return h, zs
-
-    def forward_batch(self, x):
-        """Evaluate a batch of points (n, input_dim) -> (outputs, traces)."""
-        h = np.asarray(x, dtype=float)
-        if h.ndim != 2 or h.shape[1] != self.input_dim:
-            raise ValueError(
-                f"batch shape {h.shape} does not match network input "
                 f"dimension {self.input_dim}"
             )
         zs = []

@@ -47,15 +47,6 @@ class PwaForm:
         """Apply the affine map to an arbitrary point."""
         return self.a_star @ np.asarray(x, dtype=float) + self.b_star
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "anchor": self.anchor.tolist(),
-            "a_star": self.a_star.tolist(),
-            "b_star": self.b_star.tolist(),
-            "lambdas": [lam.tolist() for lam in self.lambdas],
-        }
-
 
 def _check_mode(mode: str) -> None:
     if mode not in _MODES:
@@ -63,55 +54,40 @@ def _check_mode(mode: str) -> None:
 
 
 def extract_pwa(net: MlpNetwork, x, mode: str = "affine") -> PwaForm:
-    """Decompose the network at anchor x into A(x), b(x) and the gains."""
-    _check_mode(mode)
-    anchor = np.asarray(x, dtype=float)
-    _, zs = net.forward_trace(anchor)
+    """Decompose the network at anchor x into A(x), b(x) and the gains.
 
-    a = None  # accumulated map, input -> current value
-    b = np.zeros(net.input_dim)
-    lambdas = []
-    for layer, z in zip(net.layers, zs):
-        w = layer.weight
-        a = w.copy() if a is None else w @ a
-        b = w @ b
-        if layer.bias is not None:
-            b = b + layer.bias
-        if layer.activation is not None:
-            act = layer.act
-            if mode == "affine":
-                gains = secant_gains(act, z)
-                offset = act.value_at_zero
-            else:
-                gains = ray_gains(act, z)
-                offset = 0.0
-            a = gains[:, None] * a
-            b = gains * b + offset
-            lambdas.append(gains)
-    return PwaForm(anchor=anchor, a_star=a, b_star=b, lambdas=tuple(lambdas), mode=mode)
+    The batch of one of extract_pwa_batch, bit for bit.
+    """
+    anchor = np.asarray(x, dtype=float)
+    if anchor.ndim != 1:
+        raise ValueError(f"anchor must be (dim,), got shape {anchor.shape}")
+    a, b, lambdas = extract_pwa_batch(net, anchor[None], mode=mode)
+    return PwaForm(anchor=anchor, a_star=a[0], b_star=b[0],
+                   lambdas=tuple(lam[0] for lam in lambdas), mode=mode)
 
 
 def extract_pwa_batch(net: MlpNetwork, xs, mode: str = "affine"):
-    """Vectorized decomposition at a batch of anchors.
+    """Decomposition at a batch of anchors, the package's one A(x) assembly.
 
-    Returns (a (n, out, in), b (n, out)).  Used by the grid sweeps; the
-    result matches extract_pwa anchor by anchor.
+    Returns (a (n, out, in), b (n, out), lambdas), where lambdas holds the
+    (n, rows) gains of each activated layer, in order.
     """
     _check_mode(mode)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2:
         raise ValueError(f"anchors must be (n, dim), got shape {xs.shape}")
     n = xs.shape[0]
-    _, zs = net.forward_batch(xs)
+    _, zs = net.forward_trace(xs)
 
-    a = None
+    a = None  # accumulated map, input -> current value
     b = np.zeros((n, net.input_dim))
+    lambdas = []
     for layer, z in zip(net.layers, zs):
         w = layer.weight
-        if a is None:
-            a = np.broadcast_to(w, (n,) + w.shape).copy()
-        else:
-            a = np.einsum("oi,nij->noj", w, a)
+        # The stacked w @ a runs one matrix product per anchor, so a batch
+        # of one rounds as a single-anchor loop; a fused contraction over
+        # the stack would not.
+        a = np.broadcast_to(w, (n,) + w.shape).copy() if a is None else w @ a
         b = b @ w.T
         if layer.bias is not None:
             b = b + layer.bias
@@ -125,7 +101,8 @@ def extract_pwa_batch(net: MlpNetwork, xs, mode: str = "affine"):
                 offset = 0.0
             a = gains[:, :, None] * a
             b = gains * b + offset
-    return a, b
+            lambdas.append(gains)
+    return a, b, tuple(lambdas)
 
 
 def verify_equivalence(net: MlpNetwork, form: PwaForm) -> float:

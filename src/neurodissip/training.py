@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg
-from .activations import get_activation, ray_gains, secant_gains
+from .activations import get_activation
+from .dissipativity import dissipativity_penalty
 from .network import Layer, MlpNetwork, load_network, save_network
 from .structured import (
     _logistic,
@@ -59,7 +59,6 @@ __all__ = [
     "rollout_loss",
     "backward",
     "open_loop_mse",
-    "dissipativity_regularizer",
     "train",
     "save_checkpoint",
     "load_checkpoint",
@@ -877,55 +876,6 @@ class TrainReport:
         }
 
 
-# --- the dissipativity regularizer ------------------------------------------
-
-def dissipativity_regularizer(net: MlpNetwork, anchors, mode: str = "linear"):
-    """Mean max(1, ||A(x)||_2) over anchors, with weight gradients.
-
-    The gradient goes through the factored product via the leading
-    singular pair, holding the activation gains fixed (their dependence
-    on the weights is not differentiated; for piecewise-linear
-    activations it is not differentiable in the first place).
-    """
-    anchors = np.asarray(anchors, dtype=float)
-    if anchors.ndim != 2 or anchors.shape[1] != net.input_dim:
-        raise ValueError(
-            f"anchors must be (n, {net.input_dim}), got {anchors.shape}"
-        )
-    gains_fn = ray_gains if mode == "linear" else secant_gains
-    count = len(net.layers)
-    grads = [np.zeros_like(layer.weight) for layer in net.layers]
-    total = 0.0
-    for x in anchors:
-        _, zs = net.forward_trace(x)
-        gains = [
-            gains_fn(layer.act, z) if layer.activation is not None
-            else np.ones(layer.rows)
-            for layer, z in zip(net.layers, zs)
-        ]
-        factors = [g[:, None] * layer.weight
-                   for g, layer in zip(gains, net.layers)]
-        rights = [np.eye(net.input_dim)]
-        for f in factors[:-1]:
-            rights.append(f @ rights[-1])
-        a = factors[-1] @ rights[-1]
-        if not np.isfinite(a).all():
-            total += np.inf
-            continue
-        u, s, v = linalg.svd(a)
-        norm = float(s[0])
-        total += max(1.0, norm)
-        if norm <= 1.0:
-            continue
-        pull = np.outer(u[:, 0], v[:, 0])
-        left = np.eye(net.output_dim)
-        for i in range(count - 1, -1, -1):
-            grads[i] += gains[i][:, None] * (left.T @ pull @ rights[i].T)
-            left = left @ factors[i]
-    value = total / anchors.shape[0]
-    return value, [g / anchors.shape[0] for g in grads]
-
-
 # --- the training loop --------------------------------------------------------
 
 def _as_constrained(model):
@@ -1042,9 +992,7 @@ def train(model, data: TrainingData, config: TrainConfig) -> TrainReport:
                           activation=layer.activation)
                     for (w, b, _), layer in zip(spec_f, f_cnet.layers)
                 ))
-                d_value, d_grads = dissipativity_regularizer(
-                    realized_f, anchors
-                )
+                d_value, d_grads = dissipativity_penalty(realized_f, anchors)
                 if not np.isfinite(d_value):
                     raise TrainingDiverged(
                         f"non-finite regularizer at epoch {epoch}, "

@@ -299,11 +299,11 @@ class TestEquilibriumBounds:
 class TestPenalty:
     def test_clamps_at_one(self):
         net = linear_net(0.5 * np.eye(2))
-        assert dissipativity_penalty(net, [[1.0, 0.0], [0.0, 2.0]]) == 1.0
+        assert dissipativity_penalty(net, [[1.0, 0.0], [0.0, 2.0]])[0] == 1.0
 
     def test_expanding_linear(self):
         net = linear_net(2.0 * np.eye(2))
-        assert dissipativity_penalty(net, [[1.0, 1.0]]) == pytest.approx(2.0, abs=1e-9)
+        assert dissipativity_penalty(net, [[1.0, 1.0]])[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_mean_matches_per_point_recomputation(self):
         rng = np.random.default_rng(8)
@@ -315,7 +315,7 @@ class TestPenalty:
         want = np.mean([
             max(1.0, point_verdict(net, x).a_norm) for x in anchors
         ])
-        got = dissipativity_penalty(net, anchors)
+        got, _ = dissipativity_penalty(net, anchors)
         assert got == pytest.approx(want, rel=1e-9)
 
 

@@ -226,7 +226,8 @@ class TestMlpNetwork:
             Layer(weight=rng.standard_normal((2, 4)), activation="tanh"),
         ))
         xs = rng.standard_normal((10, 2))
-        ys, zs = net.forward_batch(xs)
+        ys, zs = net.forward_trace(xs)
+        assert ys.shape == (10, 2) and [z.shape for z in zs] == [(10, 4), (10, 2)]
         for i, x in enumerate(xs):
             yi, zi = net.forward_trace(x)
             np.testing.assert_allclose(ys[i], yi, atol=1e-12)

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neurodissip.activations import ACTIVATIONS, ray_gains, secant_gains
 from neurodissip.network import Layer, MlpNetwork
-from neurodissip.pwa import extract_pwa, extract_pwa_batch, verify_equivalence
+from neurodissip.pwa import PwaForm, extract_pwa, extract_pwa_batch, verify_equivalence
 
 
 def random_net(rng, dims, activation, bias=True, scale=1.0, readout=False):
@@ -155,7 +156,7 @@ class TestBatchedExtraction:
         rng = np.random.default_rng(8)
         net = random_net(rng, [2, 4, 4, 2], "selu")
         xs = 3.0 * rng.standard_normal((25, 2))
-        a, b = extract_pwa_batch(net, xs, mode=mode)
+        a, b, _ = extract_pwa_batch(net, xs, mode=mode)
         for i, x in enumerate(xs):
             form = extract_pwa(net, x, mode=mode)
             np.testing.assert_allclose(a[i], form.a_star, atol=1e-13)
@@ -166,3 +167,76 @@ class TestBatchedExtraction:
         net = random_net(rng, [2, 2], "relu")
         with pytest.raises(ValueError, match="anchors"):
             extract_pwa_batch(net, np.zeros(2))
+
+
+def reference_forward_trace(net, x):
+    """The single-point forward loop, one W @ h product per layer."""
+    h = np.asarray(x, dtype=float)
+    zs = []
+    for layer in net.layers:
+        z = layer.weight @ h
+        if layer.bias is not None:
+            z = z + layer.bias
+        zs.append(z)
+        h = layer.act.fn(z) if layer.activation is not None else z
+    return h, zs
+
+
+def reference_extract_pwa(net, x, mode="affine"):
+    """The single-anchor A(x) assembly, kept as the bit-for-bit reference."""
+    anchor = np.asarray(x, dtype=float)
+    _, zs = reference_forward_trace(net, anchor)
+
+    a = None  # accumulated map, input -> current value
+    b = np.zeros(net.input_dim)
+    lambdas = []
+    for layer, z in zip(net.layers, zs):
+        w = layer.weight
+        a = w.copy() if a is None else w @ a
+        b = w @ b
+        if layer.bias is not None:
+            b = b + layer.bias
+        if layer.activation is not None:
+            act = layer.act
+            if mode == "affine":
+                gains = secant_gains(act, z)
+                offset = act.value_at_zero
+            else:
+                gains = ray_gains(act, z)
+                offset = 0.0
+            a = gains[:, None] * a
+            b = gains * b + offset
+            lambdas.append(gains)
+    return PwaForm(anchor=anchor, a_star=a, b_star=b, lambdas=tuple(lambdas), mode=mode)
+
+
+class TestBatchOfOneIsBitExact:
+    """Single-point calls run the batch code; they must equal the single-point loops."""
+
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_matches_single_point_loops(self, activation):
+        rng = np.random.default_rng(sorted(ACTIVATIONS).index(activation))
+        for depth in (1, 2, 4, 8):
+            for width in (2, 3, 8, 16):
+                for bias in (True, False):
+                    for readout in (False, True):
+                        dims = [3] + [width] * depth + ([2] if readout else [])
+                        net = random_net(rng, dims, activation, bias=bias,
+                                         scale=1.0 / np.sqrt(width), readout=readout)
+                        anchors = [np.zeros(3)] + list(2.0 * rng.standard_normal((3, 3)))
+                        for x in anchors:
+                            want_y, want_zs = reference_forward_trace(net, x)
+                            y, zs = net.forward_trace(x)
+                            np.testing.assert_array_equal(y, want_y)
+                            assert len(zs) == len(want_zs)
+                            for z, want_z in zip(zs, want_zs):
+                                np.testing.assert_array_equal(z, want_z)
+                            np.testing.assert_array_equal(net.forward(x), want_y)
+                            for mode in ("affine", "linear"):
+                                want = reference_extract_pwa(net, x, mode)
+                                got = extract_pwa(net, x, mode)
+                                np.testing.assert_array_equal(got.a_star, want.a_star)
+                                np.testing.assert_array_equal(got.b_star, want.b_star)
+                                assert len(got.lambdas) == len(want.lambdas)
+                                for lam, want_lam in zip(got.lambdas, want.lambdas):
+                                    np.testing.assert_array_equal(lam, want_lam)

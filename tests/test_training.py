@@ -1,8 +1,8 @@
 """Training-engine tests.
 
 Gradients are checked against central finite differences, losses against
-hand arithmetic, and the regularizer against the analysis module it must
-agree with.  The structured-parametrization tests verify both the exact
+hand arithmetic, and the dissipativity penalty against an explicit
+diag(lambda_l) W_l chain.  The structured-parametrization tests verify both the exact
 reproduction of the seeded generators and the raw-parameter gradients.
 """
 
@@ -422,11 +422,42 @@ class TestRegularizers:
         assert after < 0.1 * before
 
     def test_penalty_value_matches_analysis_module(self):
+        # Oracle: the explicit chain diag(lambda_l) W_l ... and LAPACK's
+        # sigma_1 per anchor, independent of pwa's A(x) assembly.
         net = make_mlp((2, 8, 2), activation="tanh", seed=13)
         anchors = np.random.default_rng(0).uniform(-1, 1, (16, 2))
-        value, _ = training.dissipativity_regularizer(net, anchors)
-        expected = dissipativity.dissipativity_penalty(net, anchors, mode="linear")
-        assert value == pytest.approx(expected, rel=1e-9)
+        value, _ = dissipativity.dissipativity_penalty(net, anchors)
+        norms = []
+        for x in anchors:
+            h, a = x, np.eye(2)
+            for layer in net.layers:
+                z = layer.weight @ h + layer.bias
+                lam = np.ones_like(z) if layer.act is None else layer.act.fn(z) / z
+                a = np.diag(lam) @ layer.weight @ a
+                h = lam * z
+            norms.append(np.linalg.svd(a, compute_uv=False)[0])
+        assert value == pytest.approx(np.mean(np.maximum(1.0, norms)), rel=1e-9)
+
+    def test_penalty_is_inf_when_a_overflows(self):
+        # Two bias-free linear layers 1e200 I: every A(x) is 1e400 I.
+        data = TrainingData(
+            states=np.zeros((90, 2)),
+            inputs=np.zeros((90, 1)),
+            splits={"train": (0, 30), "dev": (30, 60), "test": (60, 90)},
+        )
+        f_net = MlpNetwork(layers=(Layer(weight=1e200 * np.eye(2)),
+                                   Layer(weight=1e200 * np.eye(2))))
+        anchors = np.random.default_rng(3).uniform(-1, 1, (4, 2))
+        value, grads = dissipativity.dissipativity_penalty(f_net, anchors)
+        assert value == np.inf
+        assert all(not g.any() for g in grads)
+        model = BlockSSM(f_net=f_net, g_net=linear_ssm(np.eye(2), [[0.0], [0.0]]).g_net)
+        config = TrainConfig(
+            horizon=4, batch=8, epochs=1, learning_rate=0.05,
+            optimizer="sgd", regularizers={"dissipativity": 0.5}, seed=0,
+        )
+        with pytest.raises(TrainingDiverged, match="non-finite regularizer"):
+            train(model, data, config)
 
     def test_penalty_gradient_matches_frozen_gain_differences(self):
         # The documented approximation holds the activation gains fixed,
@@ -438,7 +469,7 @@ class TestRegularizers:
                   activation="tanh"),
         ))
         anchors = np.random.default_rng(1).uniform(-2, 2, (5, 2))
-        _, grads = training.dissipativity_regularizer(net, anchors)
+        _, grads = dissipativity.dissipativity_penalty(net, anchors)
 
         gains = []
         for x in anchors:
@@ -476,7 +507,7 @@ class TestRegularizers:
             Layer(weight=0.4 * np.eye(2), activation="tanh"),
         ))
         anchors = np.random.default_rng(2).uniform(-1, 1, (8, 2))
-        value, grads = training.dissipativity_regularizer(net, anchors)
+        value, grads = dissipativity.dissipativity_penalty(net, anchors)
         assert value == 1.0
         assert float(np.abs(grads[0]).max()) == 0.0
 
@@ -519,7 +550,7 @@ class TestRegularizers:
         values = []
         for _ in range(300):
             realized = net.realize()
-            value, grads = training.dissipativity_regularizer(realized, anchors)
+            value, grads = dissipativity.dissipativity_penalty(realized, anchors)
             values.append(value)
             params, grad_list = net.collect(
                 [g.copy() for g in grads], [None]
