@@ -929,11 +929,11 @@ def cmd_sweep(args) -> int:
 def cmd_gen_weights(args) -> int:
     config = _load_config(args)
     out = _outdir(args)
-    slm = structured.draw_map(config.map.kind, config.network.width,
-                              config.map.lambda_min, config.map.lambda_max,
-                              seed=config.seed)
-    matrix = slm.realize()
-    report = structured.guarantee_report(slm, matrix)
+    weight = structured.draw_map(config.map.kind, config.network.width,
+                                 config.map.lambda_min, config.map.lambda_max,
+                                 seed=config.seed)
+    matrix = weight.realize()
+    report = structured.guarantee_report(weight, matrix)
     _write_json(os.path.join(out, "weights.json"), {
         "matrix": matrix,
         "report": report,

@@ -113,14 +113,33 @@ def spectral_norm(a) -> float:
     return float(_spectral_norm_batch(as_matrix(a, "a")[None])[0])
 
 
-def _eig2_batch(a: np.ndarray) -> np.ndarray:
-    """Closed-form eigenvalues for a stack (N, 2, 2) -> (N, 2) complex."""
+def _eig2_closed(a: np.ndarray):
+    """Unsorted closed-form eigenvalues of a (N, 2, 2) stack, and the discriminants."""
     tr = a[:, 0, 0] + a[:, 1, 1]
     det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-    sq = np.sqrt((tr * tr - 4.0 * det).astype(complex))
+    disc = tr * tr - 4.0 * det
+    sq = np.sqrt(disc.astype(complex))
     out = np.empty((a.shape[0], 2), dtype=complex)
     out[:, 0] = (tr + sq) / 2.0
     out[:, 1] = (tr - sq) / 2.0
+    return out, disc
+
+
+def _eig2_batch(a: np.ndarray) -> np.ndarray:
+    """Closed-form eigenvalues for a stack (N, 2, 2) -> (N, 2) complex.
+
+    Squaring the trace overflows once entries reach about 1e154, so items
+    whose discriminant is non-finite are recomputed on the same closed
+    form after an exact power-of-two scaling of their entries below one.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, disc = _eig2_closed(a)
+        redo = ~np.isfinite(disc)
+        if redo.any():
+            _, e = np.frexp(np.abs(a[redo]).max(axis=(1, 2)))
+            scaled, _ = _eig2_closed(np.ldexp(a[redo], -e[:, None, None]))
+            out.real[redo] = np.ldexp(scaled.real, e[:, None])
+            out.imag[redo] = np.ldexp(scaled.imag, e[:, None])
     return _sort_eigs_batch(out)
 
 

@@ -1,26 +1,29 @@
-"""Generators for spectrally constrained weight matrices.
+"""Spectrally constrained weight matrices: one class per factorization.
 
 Four families of square (or, for the SVD route, rectangular) linear maps:
 
-* ``perron_frobenius``: nonnegative rows built from a row-wise softmax,
-  damped into [lambda_min, lambda_max]; the dominant eigenvalue is bounded
-  by the largest row sum.
-* ``spectral_svd``: W = U diag(sigma) V with U, V products of Householder
-  reflectors, so the singular values are set directly.
-* ``gershgorin_real`` / ``gershgorin_complex``: off-diagonal mass scaled so
-  every Gershgorin disc has the prescribed centre and radius; the complex
-  variant antisymmetrizes the off-diagonal mass to favour conjugate pairs.
-* ``unstructured``: plain Gaussian entries scaled by 1/sqrt(cols), no
-  guarantee.
+* ``perron_frobenius`` (PfWeight): nonnegative rows built from a row-wise
+  softmax, damped into [lambda_min, lambda_max]; the dominant eigenvalue
+  is bounded by the largest row sum.
+* ``spectral_svd`` (SpectralWeight): W = U diag(sigma) V with U, V
+  products of Householder reflectors, so the singular values are set
+  directly.  SpectralFreeWeight is its free-factor training variant.
+* ``gershgorin_real`` / ``gershgorin_complex`` (GershgorinWeight):
+  off-diagonal mass scaled so every Gershgorin disc has the prescribed
+  centre and radius; the complex variant antisymmetrizes the off-diagonal
+  mass to favour conjugate pairs.
+* ``unstructured`` (FreeWeight): plain Gaussian entries scaled by
+  1/sqrt(cols), no guarantee.
 
-Every generator is deterministic given (dims, bounds, seed), and the raw
-parameters are kept on the returned record so a map can be re-realized
-(for example inside a training step) without touching an RNG.
+Every draw is deterministic given (dims, bounds, seed), and the drawn
+object keeps its raw parameters, so the weight can be re-realized (for
+example inside a training step) without touching an RNG, and a
+weight-space gradient pulled back onto them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
 from typing import Optional
 
 import numpy as np
@@ -86,185 +89,364 @@ def householder_orthogonal(vectors) -> np.ndarray:
     return q
 
 
-def pf_from_params(a_raw, m_raw, lambda_min: float, lambda_max: float) -> np.ndarray:
-    """Perron-Frobenius weight from raw parameter matrices.
+def _square(kind: str, rows: int, cols: int) -> None:
+    if rows != cols:
+        raise ValueError(f"{kind} maps must be square")
 
-    Row-wise softmax of a_raw, elementwise damped by m_raw squashed into
-    [lambda_min, lambda_max]; all entries nonnegative when lambda_min >= 0
-    and every row sum lies in [lambda_min, lambda_max].
+
+class StructuredWeight:
+    """A weight matrix defined by raw parameters.
+
+    draw() samples the raw parameters from an RNG in the kind's one fixed
+    order; params() returns the live arrays an optimizer mutates;
+    realize() maps them to the weight without touching an RNG, so two
+    calls are bit-identical; vjp(g) pulls a weight-space gradient back to
+    raw-parameter space.  penalty()/penalty_grads() expose a structural
+    soft penalty (zero for everything except the free-factor SVD form).
+    Constructors validate bounds and shapes once, so realize() is plain
+    arithmetic and a non-finite optimizer step shows up in its output.
     """
-    _check_bounds(lambda_min, lambda_max, nonnegative=True)
-    a_raw = linalg.as_matrix(a_raw, "a_raw")
-    m_raw = linalg.as_matrix(m_raw, "m_raw")
-    if a_raw.shape != m_raw.shape:
-        raise ValueError("a_raw and m_raw must have matching shapes")
-    shifted = a_raw - a_raw.max(axis=1, keepdims=True)
-    expa = np.exp(shifted)
-    softmax = expa / expa.sum(axis=1, keepdims=True)
-    damping = damping_interval(m_raw, lambda_min, lambda_max)
-    return softmax * damping
+
+    kind = ""
+
+    @classmethod
+    def draw(cls, rows: int, cols: int, lambda_min: float, lambda_max: float,
+             rng) -> "StructuredWeight":
+        raise NotImplementedError
+
+    def params(self) -> list:
+        raise NotImplementedError
+
+    def realize(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def vjp(self, grad) -> list:
+        raise NotImplementedError
+
+    def penalty(self) -> float:
+        return 0.0
+
+    def penalty_grads(self):
+        return None
+
+    def _set_bounds(self, lambda_min: float, lambda_max: float,
+                    nonnegative: bool = False) -> None:
+        _check_bounds(lambda_min, lambda_max, nonnegative)
+        self.lambda_min = float(lambda_min)
+        self.lambda_max = float(lambda_max)
 
 
-def spectral_from_params(
-    u_vectors, v_vectors, sigma_raw, lambda_min: float, lambda_max: float
-) -> np.ndarray:
-    """SVD-factorized weight from reflector vectors and raw singular values."""
-    _check_bounds(lambda_min, lambda_max, nonnegative=False)
-    u = householder_orthogonal(u_vectors)
-    v = householder_orthogonal(v_vectors)
-    sigma_raw = linalg.as_vector(sigma_raw, "sigma_raw")
+class FreeWeight(StructuredWeight):
+    """An unconstrained matrix; raw parameters are the entries themselves."""
+
+    kind = "unstructured"
+
+    def __init__(self, value):
+        self.value = np.array(value, dtype=float)
+        if self.value.ndim != 2:
+            raise ValueError("weight must be a matrix")
+
+    @classmethod
+    def draw(cls, rows, cols, lambda_min, lambda_max, rng):
+        """Gaussian entries scaled by 1/sqrt(cols); the bounds are unused."""
+        return cls(rng.standard_normal((rows, cols)) / np.sqrt(cols))
+
+    def params(self):
+        return [self.value]
+
+    def realize(self):
+        return self.value
+
+    def vjp(self, grad):
+        return [np.asarray(grad, dtype=float)]
+
+
+class PfWeight(StructuredWeight):
+    """Perron-Frobenius weight: row-wise softmax of a_raw, elementwise
+    damped by m_raw squashed into [lambda_min, lambda_max].
+
+    All entries are nonnegative and every row sum lies in the bounds, so
+    the dominant eigenvalue is bounded by the largest row sum.
+    """
+
+    kind = "perron_frobenius"
+
+    def __init__(self, a_raw, m_raw, lambda_min: float, lambda_max: float):
+        self._set_bounds(lambda_min, lambda_max, nonnegative=True)
+        self.a_raw = linalg.as_matrix(a_raw, "a_raw").copy()
+        self.m_raw = linalg.as_matrix(m_raw, "m_raw").copy()
+        if self.a_raw.shape != self.m_raw.shape:
+            raise ValueError("a_raw and m_raw must have matching shapes")
+
+    @classmethod
+    def draw(cls, rows, cols, lambda_min, lambda_max, rng):
+        _square(cls.kind, rows, cols)
+        m_raw = rng.standard_normal((rows, rows))
+        a_raw = rng.standard_normal((rows, rows))
+        return cls(a_raw, m_raw, lambda_min, lambda_max)
+
+    def params(self):
+        return [self.a_raw, self.m_raw]
+
+    def _softmax(self):
+        shifted = self.a_raw - self.a_raw.max(axis=1, keepdims=True)
+        expa = np.exp(shifted)
+        return expa / expa.sum(axis=1, keepdims=True)
+
+    def realize(self):
+        return self._softmax() * damping_interval(
+            self.m_raw, self.lambda_min, self.lambda_max
+        )
+
+    def vjp(self, grad):
+        grad = np.asarray(grad, dtype=float)
+        softmax = self._softmax()
+        p = _logistic(self.m_raw)
+        damping = self.lambda_max - (self.lambda_max - self.lambda_min) * p
+        gp = grad * damping
+        ga = softmax * (gp - np.sum(gp * softmax, axis=1, keepdims=True))
+        gm = grad * softmax * (-(self.lambda_max - self.lambda_min)
+                               * p * (1.0 - p))
+        return [ga, gm]
+
+
+class GershgorinWeight(StructuredWeight):
+    """Disc-confined weight built from an off-diagonal mass matrix.
+
+    The diagonal of m_raw is ignored.  Rows are scaled so the absolute
+    off-diagonal sums equal the disc radius exactly (rows with no mass stay
+    zero), then the disc centre goes on the diagonal.  The complex variant
+    antisymmetrizes the off-diagonal mass to favour conjugate pairs.
+    """
+
+    def __init__(self, m_raw, lambda_min: float, lambda_max: float,
+                 complex_conjugate: bool = False):
+        self._set_bounds(lambda_min, lambda_max)
+        self.m_raw = linalg.as_matrix(m_raw, "m_raw").copy()
+        if self.m_raw.shape[1] != self.m_raw.shape[0]:
+            raise ValueError("m_raw must be square")
+        self.complex_conjugate = bool(complex_conjugate)
+
+    @property
+    def kind(self):
+        return "gershgorin_complex" if self.complex_conjugate else "gershgorin_real"
+
+    @classmethod
+    def draw(cls, rows, cols, lambda_min, lambda_max, rng,
+             complex_conjugate: bool = False):
+        """Uniform(0,1) mass over the full block, diagonal included."""
+        kind = "gershgorin_complex" if complex_conjugate else "gershgorin_real"
+        _square(kind, rows, cols)
+        m_raw = rng.uniform(0.0, 1.0, (rows, rows))
+        return cls(m_raw, lambda_min, lambda_max, complex_conjugate)
+
+    def params(self):
+        return [self.m_raw]
+
+    def _mass(self):
+        """Off-diagonal mass and its row L1 sums (1 where a row is empty)."""
+        m = self.m_raw.copy()
+        np.fill_diagonal(m, 0.0)
+        if self.complex_conjugate:
+            m = (m - m.T) / 2.0
+        s = np.sum(np.abs(m), axis=1, keepdims=True)
+        s[s == 0.0] = 1.0
+        return m, s
+
+    def realize(self):
+        m, s = self._mass()
+        lam = (self.lambda_min + self.lambda_max) / 2.0
+        rad = (self.lambda_max - self.lambda_min) / 2.0
+        return lam * np.eye(m.shape[0]) + rad * m / s
+
+    def vjp(self, grad):
+        grad = np.asarray(grad, dtype=float)
+        m, s = self._mass()
+        rad = (self.lambda_max - self.lambda_min) / 2.0
+        # y = rad * m / s with s the row L1 mass; the second term carries
+        # the dependence of s on each entry through d|m|/dm = sign(m).
+        row_dot = np.sum(grad * m, axis=1, keepdims=True)
+        gn = rad * (grad / s - row_dot / (s * s) * np.sign(m))
+        if self.complex_conjugate:
+            gn = (gn - gn.T) / 2.0
+        np.fill_diagonal(gn, 0.0)
+        return [gn]
+
+
+def _svd_realize(u, v, sigma_raw, lambda_min, lambda_max):
     k = sigma_raw.shape[0]
-    if k > min(u.shape[0], v.shape[0]):
-        raise ValueError("more singular values than matrix dimensions allow")
     sig = damping_interval(sigma_raw, lambda_min, lambda_max)
     return u[:, :k] @ np.diag(sig) @ v[:k, :]
 
 
-def gershgorin_from_params(
-    m_raw, lambda_min: float, lambda_max: float, complex_conjugate: bool
-) -> np.ndarray:
-    """Gershgorin-disc weight from a raw off-diagonal mass matrix.
+def _svd_vjp(u, v, sigma_raw, lambda_min, lambda_max, grad):
+    """Gradients of U[:, :k] diag(sigma) V[:k, :] in U, V and sigma_raw."""
+    grad = np.asarray(grad, dtype=float)
+    k = sigma_raw.shape[0]
+    sig = damping_interval(sigma_raw, lambda_min, lambda_max)
+    uk, vk = u[:, :k], v[:k, :]
+    g_sig = np.einsum("ai,ab,ib->i", uk, grad, vk)
+    p = _logistic(sigma_raw)
+    g_sigma_raw = g_sig * (-(lambda_max - lambda_min) * p * (1.0 - p))
+    gu = np.zeros_like(u)
+    gu[:, :k] = grad @ vk.T * sig
+    gv = np.zeros_like(v)
+    gv[:k, :] = sig[:, None] * (uk.T @ grad)
+    return gu, gv, g_sigma_raw
 
-    The diagonal of m_raw is ignored.  Rows are scaled so the absolute
-    off-diagonal sums equal the disc radius exactly (rows with no mass stay
-    zero), then the disc centre goes on the diagonal.
+
+def _householder_backward(vectors, grad_q):
+    """Raw-vector gradients of a product of reflectors.
+
+    The product is Q = H(v_1) ... H(v_m) with H(v) = I - (2/s) v v^T and
+    s = v^T v, matching householder_orthogonal up to the explicit
+    normalization (which the 2/s factor absorbs).
     """
-    _check_bounds(lambda_min, lambda_max, nonnegative=False)
-    m = linalg.as_matrix(m_raw, "m_raw").copy()
-    n = m.shape[0]
-    if m.shape[1] != n:
-        raise ValueError("m_raw must be square")
-    lam = (lambda_min + lambda_max) / 2.0
-    rad = (lambda_max - lambda_min) / 2.0
-    np.fill_diagonal(m, 0.0)
-    if complex_conjugate:
-        m = (m - m.T) / 2.0
-    s = np.sum(np.abs(m), axis=1, keepdims=True)
-    s[s == 0.0] = 1.0
-    return lam * np.eye(n) + rad * m / s
+    mats = [np.eye(v.shape[0]) - (2.0 / float(v @ v)) * np.outer(v, v)
+            for v in vectors]
+    m = len(mats)
+    dim = mats[0].shape[0]
+    prefixes = [np.eye(dim)]
+    for h in mats:
+        prefixes.append(prefixes[-1] @ h)
+    suffixes = [np.eye(dim)] * (m + 1)
+    for j in range(m - 1, -1, -1):
+        suffixes[j] = mats[j] @ suffixes[j + 1]
+    grads = np.zeros((m, dim))
+    for j in range(m):
+        gh = prefixes[j].T @ grad_q @ suffixes[j + 1].T
+        v = vectors[j]
+        s = float(v @ v)
+        gv = gh @ v
+        gtv = gh.T @ v
+        grads[j] = (-(2.0 / s) * (gv + gtv)
+                    + (4.0 / (s * s)) * float(v @ gv) * v)
+    return grads
 
 
-def realize_pf(n: int, lambda_min: float, lambda_max: float, rng) -> np.ndarray:
-    """Draw a Perron-Frobenius weight with standard-normal raw parameters."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    m_raw = rng.standard_normal((n, n))
-    a_raw = rng.standard_normal((n, n))
-    return pf_from_params(a_raw, m_raw, lambda_min, lambda_max)
+class SpectralWeight(StructuredWeight):
+    """SVD-factorized weight W = U diag(sigma) V with reflector-product
+    orthogonal factors, so the singular values are set directly.
 
-
-def realize_spectral(
-    rows: int, cols: int, lambda_min: float, lambda_max: float, rng
-) -> np.ndarray:
-    """Draw an SVD-factorized weight; non-square shapes are allowed."""
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be at least 1")
-    _check_bounds(lambda_min, lambda_max, nonnegative=False)
-    u_vectors = [rng.standard_normal(rows) for _ in range(rows)]
-    v_vectors = [rng.standard_normal(cols) for _ in range(cols)]
-    sigma_raw = rng.standard_normal(min(rows, cols))
-    return spectral_from_params(u_vectors, v_vectors, sigma_raw, lambda_min, lambda_max)
-
-
-def realize_gershgorin(
-    n: int, lambda_min: float, lambda_max: float, complex_conjugate: bool, rng
-) -> np.ndarray:
-    """Draw a Gershgorin-disc weight with Uniform(0,1) off-diagonal mass."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    m_raw = rng.uniform(0.0, 1.0, (n, n))
-    return gershgorin_from_params(m_raw, lambda_min, lambda_max, complex_conjugate)
-
-
-def realize_unstructured(rows: int, cols: int, rng) -> np.ndarray:
-    """Draw a plain Gaussian weight scaled by 1/sqrt(cols)."""
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be at least 1")
-    return rng.standard_normal((rows, cols)) / np.sqrt(cols)
-
-
-def perron_frobenius_map(
-    n: int, lambda_min: float, lambda_max: float, seed: int = 0
-) -> np.ndarray:
-    return realize_pf(n, lambda_min, lambda_max, np.random.default_rng(seed))
-
-
-def spectral_svd_map(
-    rows: int,
-    lambda_min: float,
-    lambda_max: float,
-    seed: int = 0,
-    cols: Optional[int] = None,
-) -> np.ndarray:
-    cols = rows if cols is None else cols
-    return realize_spectral(rows, cols, lambda_min, lambda_max, np.random.default_rng(seed))
-
-
-def gershgorin_map(
-    n: int,
-    lambda_min: float,
-    lambda_max: float,
-    seed: int = 0,
-    complex_conjugate: bool = False,
-) -> np.ndarray:
-    return realize_gershgorin(
-        n, lambda_min, lambda_max, complex_conjugate, np.random.default_rng(seed)
-    )
-
-
-def unstructured_map(rows: int, seed: int = 0, cols: Optional[int] = None) -> np.ndarray:
-    cols = rows if cols is None else cols
-    return realize_unstructured(rows, cols, np.random.default_rng(seed))
-
-
-@dataclass(frozen=True)
-class StructuredLinearMap:
-    """A weight parametrization with its raw parameters and bounds.
-
-    ``params`` holds whatever the kind needs to re-realize the matrix
-    without an RNG, so two calls to realize() are bit-identical and a
-    training loop can perturb the raw parameters directly.
+    Non-square shapes are allowed.
     """
 
-    kind: str
-    rows: int
-    cols: int
-    lambda_min: float = 0.0
-    lambda_max: float = 1.0
-    params: dict = field(default_factory=dict)
-    seed: Optional[int] = None
+    kind = "spectral_svd"
 
-    def __post_init__(self):
-        if self.kind not in MAP_KINDS:
-            raise ValueError(f"unknown map kind {self.kind!r}")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("rows and cols must be at least 1")
-        if self.kind != "unstructured":
-            _check_bounds(
-                self.lambda_min,
-                self.lambda_max,
-                nonnegative=self.kind == "perron_frobenius",
-            )
-        if self.kind not in ("spectral_svd", "unstructured") and self.rows != self.cols:
-            raise ValueError(f"{self.kind} maps must be square")
-
-    def realize(self) -> np.ndarray:
-        if self.kind == "unstructured":
-            return self.params["raw"] / np.sqrt(self.cols)
-        if self.kind == "perron_frobenius":
-            return pf_from_params(
-                self.params["a_raw"], self.params["m_raw"],
-                self.lambda_min, self.lambda_max,
-            )
-        if self.kind == "spectral_svd":
-            return spectral_from_params(
-                self.params["u_vectors"], self.params["v_vectors"],
-                self.params["sigma_raw"], self.lambda_min, self.lambda_max,
-            )
-        complex_conjugate = self.kind == "gershgorin_complex"
-        return gershgorin_from_params(
-            self.params["m_raw"], self.lambda_min, self.lambda_max, complex_conjugate
+    def __init__(self, u_vectors, v_vectors, sigma_raw,
+                 lambda_min: float, lambda_max: float):
+        self._set_bounds(lambda_min, lambda_max)
+        self.u_vectors = np.array(u_vectors, dtype=float)
+        self.v_vectors = np.array(v_vectors, dtype=float)
+        self.sigma_raw = linalg.as_vector(
+            np.array(sigma_raw, dtype=float).reshape(-1), "sigma_raw"
         )
+        u, v = self._factors()  # rejects empty, ragged or zero reflectors
+        if self.sigma_raw.shape[0] > min(u.shape[0], v.shape[0]):
+            raise ValueError("more singular values than matrix dimensions allow")
+
+    @classmethod
+    def draw(cls, rows, cols, lambda_min, lambda_max, rng):
+        u_vectors = [rng.standard_normal(rows) for _ in range(rows)]
+        v_vectors = [rng.standard_normal(cols) for _ in range(cols)]
+        sigma_raw = rng.standard_normal(min(rows, cols))
+        return cls(u_vectors, v_vectors, sigma_raw, lambda_min, lambda_max)
+
+    def params(self):
+        return [self.u_vectors, self.v_vectors, self.sigma_raw]
+
+    def _factors(self):
+        return (householder_orthogonal(self.u_vectors),
+                householder_orthogonal(self.v_vectors))
+
+    def realize(self):
+        return _svd_realize(*self._factors(), self.sigma_raw,
+                            self.lambda_min, self.lambda_max)
+
+    def vjp(self, grad):
+        gu, gv, g_sigma_raw = _svd_vjp(*self._factors(), self.sigma_raw,
+                                       self.lambda_min, self.lambda_max, grad)
+        # The raw vectors are used unnormalized; householder_orthogonal's
+        # explicit normalization equals the 2/s form differentiated here.
+        return [
+            _householder_backward(self.u_vectors, gu),
+            _householder_backward(self.v_vectors, gv),
+            g_sigma_raw,
+        ]
+
+
+class SpectralFreeWeight(StructuredWeight):
+    """SVD-factorized weight with free factors and a soft orthogonality pull.
+
+    The documented alternative to reflector products: U and V are plain
+    matrices, and penalty() adds softplus(||U^T U - I||_F^2) per factor so
+    training keeps them near the orthogonal manifold without enforcing it.
+    The singular-value bounds remain hard (they come from the logistic
+    squash), only orthogonality is soft, so the spectral guarantee is
+    approximate for this variant.
+    """
+
+    kind = "spectral_free"
+
+    def __init__(self, u_mat, v_mat, sigma_raw, lambda_min: float,
+                 lambda_max: float, penalty_weight: float = 1.0):
+        self._set_bounds(lambda_min, lambda_max)
+        self.u_mat = np.array(u_mat, dtype=float)
+        self.v_mat = np.array(v_mat, dtype=float)
+        self.sigma_raw = np.array(sigma_raw, dtype=float).reshape(-1)
+        self.penalty_weight = float(penalty_weight)
+        self.realize()
+
+    @classmethod
+    def draw(cls, rows, cols, lambda_min, lambda_max, rng,
+             penalty_weight: float = 1.0):
+        """SpectralWeight's draw, with the reflector products as factors."""
+        s = SpectralWeight.draw(rows, cols, lambda_min, lambda_max, rng)
+        return cls(*s._factors(), s.sigma_raw, lambda_min, lambda_max,
+                   penalty_weight)
+
+    def params(self):
+        return [self.u_mat, self.v_mat, self.sigma_raw]
+
+    def realize(self):
+        return _svd_realize(self.u_mat, self.v_mat, self.sigma_raw,
+                            self.lambda_min, self.lambda_max)
+
+    def vjp(self, grad):
+        return list(_svd_vjp(self.u_mat, self.v_mat, self.sigma_raw,
+                             self.lambda_min, self.lambda_max, grad))
+
+    def _factor_penalties(self):
+        out = []
+        for mat in (self.u_mat, self.v_mat):
+            dev = mat.T @ mat - np.eye(mat.shape[1])
+            out.append((float(np.sum(dev * dev)), dev))
+        return out
+
+    def penalty(self) -> float:
+        total = 0.0
+        for q, _ in self._factor_penalties():
+            total += float(np.logaddexp(0.0, q))
+        return self.penalty_weight * total
+
+    def penalty_grads(self):
+        grads = []
+        for mat, (q, dev) in zip((self.u_mat, self.v_mat),
+                                 self._factor_penalties()):
+            grads.append(self.penalty_weight * _logistic(np.asarray(q))
+                         * 4.0 * mat @ dev)
+        grads.append(np.zeros_like(self.sigma_raw))
+        return grads
+
+
+_DRAWS = {
+    "unstructured": FreeWeight.draw,
+    "perron_frobenius": PfWeight.draw,
+    "spectral_svd": SpectralWeight.draw,
+    "gershgorin_real": GershgorinWeight.draw,
+    "gershgorin_complex": functools.partial(GershgorinWeight.draw,
+                                            complex_conjugate=True),
+}
 
 
 def draw_map(
@@ -274,58 +456,28 @@ def draw_map(
     lambda_max: float = 1.0,
     seed: int = 0,
     cols: Optional[int] = None,
-) -> StructuredLinearMap:
-    """Draw raw parameters for a map kind and wrap them in a record.
-
-    The draw order per kind matches the realize_* generators, so
-    draw_map(...).realize() equals the corresponding generator output for
-    the same seed.
-    """
-    cols = rows if cols is None else cols
-    rng = np.random.default_rng(seed)
-    if kind == "unstructured":
-        params = {"raw": rng.standard_normal((rows, cols))}
-    elif kind == "perron_frobenius":
-        params = {
-            "m_raw": rng.standard_normal((rows, rows)),
-            "a_raw": rng.standard_normal((rows, rows)),
-        }
-    elif kind == "spectral_svd":
-        params = {
-            "u_vectors": [rng.standard_normal(rows) for _ in range(rows)],
-            "v_vectors": [rng.standard_normal(cols) for _ in range(cols)],
-            "sigma_raw": rng.standard_normal(min(rows, cols)),
-        }
-    elif kind in ("gershgorin_real", "gershgorin_complex"):
-        params = {"m_raw": rng.uniform(0.0, 1.0, (rows, rows))}
-    else:
+) -> StructuredWeight:
+    """Draw a weight of the given kind from a fresh RNG seeded with seed."""
+    if kind not in MAP_KINDS:
         raise ValueError(f"unknown map kind {kind!r}")
-    return StructuredLinearMap(
-        kind=kind, rows=rows, cols=cols,
-        lambda_min=lambda_min, lambda_max=lambda_max,
-        params=params, seed=seed,
-    )
+    cols = rows if cols is None else cols
+    if rows < 1 or cols < 1:
+        raise ValueError("rows and cols must be at least 1")
+    return _DRAWS[kind](rows, cols, lambda_min, lambda_max,
+                        np.random.default_rng(seed))
 
 
-def weight_norm_penalties(w) -> dict:
-    """Elementwise L1 sum, Frobenius norm, and spectral norm of a matrix."""
-    wm = linalg.as_matrix(w, "w")
-    return {
-        "l1": float(np.abs(wm).sum()),
-        "l2": float(np.sqrt((wm * wm).sum())),
-        "spectral": linalg.spectral_norm(wm),
-    }
-
-
-def guarantee_report(slm: StructuredLinearMap, w: Optional[np.ndarray] = None) -> dict:
+def guarantee_report(weight: StructuredWeight, w: Optional[np.ndarray] = None) -> dict:
     """Check the realized matrix against its kind's spectral guarantee.
 
-    Returns eigenvalues (square maps), singular values, the checks run,
-    and an overall pass flag.  Unstructured maps pass vacuously.
+    The kind and bounds come from the weight; w defaults to its
+    realization.  Returns eigenvalues (square maps), singular values, the
+    checks run, and an overall pass flag.  Kinds without a guarantee
+    (unstructured, spectral_free) pass vacuously.
     """
     if w is None:
-        w = slm.realize()
-    report: dict = {"kind": slm.kind, "rows": slm.rows, "cols": slm.cols}
+        w = weight.realize()
+    report: dict = {"kind": weight.kind, "rows": w.shape[0], "cols": w.shape[1]}
     _, sing, _ = linalg.svd(w)
     report["singular_values"] = [float(s) for s in sing]
     eigs = None
@@ -333,26 +485,26 @@ def guarantee_report(slm: StructuredLinearMap, w: Optional[np.ndarray] = None) -
         eigs = linalg.eigenvalues(w)
         report["eigenvalues"] = [[float(e.real), float(e.imag)] for e in eigs]
     checks: dict = {}
-    if slm.kind == "perron_frobenius":
+    if weight.kind == "perron_frobenius":
         row_sums = w.sum(axis=1)
         checks["nonnegative"] = bool((w >= -_PF_TOL).all())
         checks["row_sums_in_bounds"] = bool(
-            (row_sums >= slm.lambda_min - _PF_TOL).all()
-            and (row_sums <= slm.lambda_max + _PF_TOL).all()
+            (row_sums >= weight.lambda_min - _PF_TOL).all()
+            and (row_sums <= weight.lambda_max + _PF_TOL).all()
         )
         checks["spectral_radius_bounded"] = bool(
-            np.abs(eigs).max() <= slm.lambda_max + _PF_TOL
+            np.abs(eigs).max() <= weight.lambda_max + _PF_TOL
         )
-    elif slm.kind == "spectral_svd":
-        lo, hi = sorted((abs(slm.lambda_min), abs(slm.lambda_max)))
-        if slm.lambda_min < 0.0 < slm.lambda_max:
+    elif weight.kind == "spectral_svd":
+        lo, hi = sorted((abs(weight.lambda_min), abs(weight.lambda_max)))
+        if weight.lambda_min < 0.0 < weight.lambda_max:
             lo = 0.0
         checks["singular_values_in_bounds"] = bool(
             (sing >= lo - _SVD_TOL).all() and (sing <= hi + _SVD_TOL).all()
         )
-    elif slm.kind in ("gershgorin_real", "gershgorin_complex"):
-        centre = (slm.lambda_min + slm.lambda_max) / 2.0
-        radius = (slm.lambda_max - slm.lambda_min) / 2.0
+    elif weight.kind in ("gershgorin_real", "gershgorin_complex"):
+        centre = (weight.lambda_min + weight.lambda_max) / 2.0
+        radius = (weight.lambda_max - weight.lambda_min) / 2.0
         checks["eigenvalues_in_disc"] = bool(
             (np.abs(eigs - centre) <= radius + _GERSH_TOL).all()
         )

@@ -27,14 +27,7 @@ import numpy as np
 from .activations import get_activation
 from .dissipativity import dissipativity_penalty
 from .network import Layer, MlpNetwork, load_network, save_network
-from .structured import (
-    _logistic,
-    damping_interval,
-    gershgorin_from_params,
-    householder_orthogonal,
-    pf_from_params,
-    spectral_from_params,
-)
+from .structured import FreeWeight, StructuredWeight
 
 __all__ = [
     "BlockSSM",
@@ -45,11 +38,6 @@ __all__ = [
     "TrainReport",
     "Adam",
     "Sgd",
-    "FreeWeight",
-    "PfWeight",
-    "SpectralWeight",
-    "SpectralFreeWeight",
-    "GershgorinWeight",
     "ConstrainedLayer",
     "ConstrainedNetwork",
     "ConstrainedSSM",
@@ -336,316 +324,13 @@ class Adam:
             p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-# --- trainable weight parametrizations --------------------------------------
-
-class TrainableWeight:
-    """A weight matrix defined by raw parameters.
-
-    params() returns the live arrays the optimizer mutates; realize()
-    maps them to the weight; param_grads(g) pulls a weight-space gradient
-    back to raw-parameter space.  penalty()/penalty_grads() expose a
-    structural soft penalty (zero for everything except the free-factor
-    SVD form).
-    """
-
-    def params(self) -> list:
-        raise NotImplementedError
-
-    def realize(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def param_grads(self, grad) -> list:
-        raise NotImplementedError
-
-    def penalty(self) -> float:
-        return 0.0
-
-    def penalty_grads(self):
-        return None
-
-
-class FreeWeight(TrainableWeight):
-    """An unconstrained matrix; raw parameters are the entries themselves."""
-
-    def __init__(self, value):
-        self.value = np.array(value, dtype=float)
-        if self.value.ndim != 2:
-            raise ValueError("weight must be a matrix")
-
-    def params(self):
-        return [self.value]
-
-    def realize(self):
-        return self.value
-
-    def param_grads(self, grad):
-        return [np.asarray(grad, dtype=float)]
-
-
-class PfWeight(TrainableWeight):
-    """Row-stochastic-times-damping weight with row sums inside the bounds."""
-
-    def __init__(self, a_raw, m_raw, lambda_min: float, lambda_max: float):
-        self.a_raw = np.array(a_raw, dtype=float)
-        self.m_raw = np.array(m_raw, dtype=float)
-        self.lambda_min = float(lambda_min)
-        self.lambda_max = float(lambda_max)
-        self.realize()  # validates shapes and bounds
-
-    @classmethod
-    def from_seed(cls, n: int, lambda_min: float, lambda_max: float,
-                  seed: int = 0) -> "PfWeight":
-        rng = np.random.default_rng(seed)
-        m_raw = rng.standard_normal((n, n))
-        a_raw = rng.standard_normal((n, n))
-        return cls(a_raw, m_raw, lambda_min, lambda_max)
-
-    def params(self):
-        return [self.a_raw, self.m_raw]
-
-    def realize(self):
-        return pf_from_params(self.a_raw, self.m_raw,
-                              self.lambda_min, self.lambda_max)
-
-    def param_grads(self, grad):
-        grad = np.asarray(grad, dtype=float)
-        shifted = self.a_raw - self.a_raw.max(axis=1, keepdims=True)
-        expa = np.exp(shifted)
-        softmax = expa / expa.sum(axis=1, keepdims=True)
-        p = _logistic(self.m_raw)
-        damping = self.lambda_max - (self.lambda_max - self.lambda_min) * p
-        gp = grad * damping
-        ga = softmax * (gp - np.sum(gp * softmax, axis=1, keepdims=True))
-        gm = grad * softmax * (-(self.lambda_max - self.lambda_min)
-                               * p * (1.0 - p))
-        return [ga, gm]
-
-
-class GershgorinWeight(TrainableWeight):
-    """Disc-confined weight; only the off-diagonal mass matrix is trained."""
-
-    def __init__(self, m_raw, lambda_min: float, lambda_max: float,
-                 complex_conjugate: bool = False):
-        self.m_raw = np.array(m_raw, dtype=float)
-        self.lambda_min = float(lambda_min)
-        self.lambda_max = float(lambda_max)
-        self.complex_conjugate = bool(complex_conjugate)
-        self.realize()
-
-    @classmethod
-    def from_seed(cls, n: int, lambda_min: float, lambda_max: float,
-                  seed: int = 0, complex_conjugate: bool = False
-                  ) -> "GershgorinWeight":
-        rng = np.random.default_rng(seed)
-        m_raw = rng.uniform(0.0, 1.0, (n, n))
-        return cls(m_raw, lambda_min, lambda_max, complex_conjugate)
-
-    def params(self):
-        return [self.m_raw]
-
-    def realize(self):
-        return gershgorin_from_params(self.m_raw, self.lambda_min,
-                                      self.lambda_max, self.complex_conjugate)
-
-    def param_grads(self, grad):
-        grad = np.asarray(grad, dtype=float)
-        m = self.m_raw.copy()
-        np.fill_diagonal(m, 0.0)
-        if self.complex_conjugate:
-            m = (m - m.T) / 2.0
-        s = np.sum(np.abs(m), axis=1, keepdims=True)
-        s[s == 0.0] = 1.0
-        rad = (self.lambda_max - self.lambda_min) / 2.0
-        # y = rad * m / s with s the row L1 mass; the second term carries
-        # the dependence of s on each entry through d|m|/dm = sign(m).
-        row_dot = np.sum(grad * m, axis=1, keepdims=True)
-        gn = rad * (grad / s - row_dot / (s * s) * np.sign(m))
-        if self.complex_conjugate:
-            gn = (gn - gn.T) / 2.0
-        np.fill_diagonal(gn, 0.0)
-        return [gn]
-
-
-def _householder_matrices(vectors):
-    mats = []
-    for v in vectors:
-        s = float(v @ v)
-        if s == 0.0:
-            raise ValueError("zero reflector vector")
-        mats.append(np.eye(v.shape[0]) - (2.0 / s) * np.outer(v, v))
-    return mats
-
-
-def _householder_backward(vectors, grad_q):
-    """Raw-vector gradients of a product of reflectors.
-
-    The product is Q = H(v_1) ... H(v_m) with H(v) = I - (2/s) v v^T and
-    s = v^T v, matching householder_orthogonal up to the explicit
-    normalization (which the 2/s factor absorbs).
-    """
-    mats = _householder_matrices(vectors)
-    m = len(mats)
-    dim = mats[0].shape[0]
-    prefixes = [np.eye(dim)]
-    for h in mats:
-        prefixes.append(prefixes[-1] @ h)
-    suffixes = [np.eye(dim)] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        suffixes[j] = mats[j] @ suffixes[j + 1]
-    grads = np.zeros((m, dim))
-    for j in range(m):
-        gh = prefixes[j].T @ grad_q @ suffixes[j + 1].T
-        v = vectors[j]
-        s = float(v @ v)
-        gv = gh @ v
-        gtv = gh.T @ v
-        grads[j] = (-(2.0 / s) * (gv + gtv)
-                    + (4.0 / (s * s)) * float(v @ gv) * v)
-    return grads
-
-
-class SpectralWeight(TrainableWeight):
-    """SVD-factorized weight with reflector-product orthogonal factors."""
-
-    def __init__(self, u_vectors, v_vectors, sigma_raw,
-                 lambda_min: float, lambda_max: float):
-        self.u_vectors = np.array(u_vectors, dtype=float)
-        self.v_vectors = np.array(v_vectors, dtype=float)
-        self.sigma_raw = np.array(sigma_raw, dtype=float).reshape(-1)
-        self.lambda_min = float(lambda_min)
-        self.lambda_max = float(lambda_max)
-        self.realize()
-
-    @classmethod
-    def from_seed(cls, rows: int, cols: int, lambda_min: float,
-                  lambda_max: float, seed: int = 0) -> "SpectralWeight":
-        rng = np.random.default_rng(seed)
-        u_vectors = np.stack([rng.standard_normal(rows) for _ in range(rows)])
-        v_vectors = np.stack([rng.standard_normal(cols) for _ in range(cols)])
-        sigma_raw = rng.standard_normal(min(rows, cols))
-        return cls(u_vectors, v_vectors, sigma_raw, lambda_min, lambda_max)
-
-    def params(self):
-        return [self.u_vectors, self.v_vectors, self.sigma_raw]
-
-    def realize(self):
-        return spectral_from_params(list(self.u_vectors), list(self.v_vectors),
-                                    self.sigma_raw, self.lambda_min,
-                                    self.lambda_max)
-
-    def param_grads(self, grad):
-        grad = np.asarray(grad, dtype=float)
-        u = householder_orthogonal(list(self.u_vectors))
-        v = householder_orthogonal(list(self.v_vectors))
-        k = self.sigma_raw.shape[0]
-        sig = damping_interval(self.sigma_raw, self.lambda_min, self.lambda_max)
-        uk, vk = u[:, :k], v[:k, :]
-        g_sig = np.einsum("ai,ab,ib->i", uk, grad, vk)
-        p = _logistic(self.sigma_raw)
-        g_sigma_raw = g_sig * (-(self.lambda_max - self.lambda_min)
-                               * p * (1.0 - p))
-        gu = np.zeros_like(u)
-        gu[:, :k] = grad @ vk.T * sig
-        gv = np.zeros_like(v)
-        gv[:k, :] = sig[:, None] * (uk.T @ grad)
-        # The raw vectors are used unnormalized; householder_orthogonal's
-        # explicit normalization equals the 2/s form differentiated here.
-        return [
-            _householder_backward(self.u_vectors, gu),
-            _householder_backward(self.v_vectors, gv),
-            g_sigma_raw,
-        ]
-
-
-class SpectralFreeWeight(TrainableWeight):
-    """SVD-factorized weight with free factors and a soft orthogonality pull.
-
-    The documented alternative to reflector products: U and V are plain
-    matrices, and penalty() adds softplus(||U^T U - I||_F^2) per factor so
-    training keeps them near the orthogonal manifold without enforcing it.
-    The singular-value bounds remain hard (they come from the logistic
-    squash), only orthogonality is soft, so the spectral guarantee is
-    approximate for this variant.
-    """
-
-    def __init__(self, u_mat, v_mat, sigma_raw, lambda_min: float,
-                 lambda_max: float, penalty_weight: float = 1.0):
-        self.u_mat = np.array(u_mat, dtype=float)
-        self.v_mat = np.array(v_mat, dtype=float)
-        self.sigma_raw = np.array(sigma_raw, dtype=float).reshape(-1)
-        self.lambda_min = float(lambda_min)
-        self.lambda_max = float(lambda_max)
-        self.penalty_weight = float(penalty_weight)
-        self.realize()
-
-    @classmethod
-    def from_seed(cls, rows: int, cols: int, lambda_min: float,
-                  lambda_max: float, seed: int = 0,
-                  penalty_weight: float = 1.0) -> "SpectralFreeWeight":
-        rng = np.random.default_rng(seed)
-        u_mat = householder_orthogonal(
-            [rng.standard_normal(rows) for _ in range(rows)]
-        )
-        v_mat = householder_orthogonal(
-            [rng.standard_normal(cols) for _ in range(cols)]
-        )
-        sigma_raw = rng.standard_normal(min(rows, cols))
-        return cls(u_mat, v_mat, sigma_raw, lambda_min, lambda_max,
-                   penalty_weight)
-
-    def params(self):
-        return [self.u_mat, self.v_mat, self.sigma_raw]
-
-    def realize(self):
-        k = self.sigma_raw.shape[0]
-        sig = damping_interval(self.sigma_raw, self.lambda_min, self.lambda_max)
-        return self.u_mat[:, :k] @ np.diag(sig) @ self.v_mat[:k, :]
-
-    def param_grads(self, grad):
-        grad = np.asarray(grad, dtype=float)
-        k = self.sigma_raw.shape[0]
-        sig = damping_interval(self.sigma_raw, self.lambda_min, self.lambda_max)
-        uk, vk = self.u_mat[:, :k], self.v_mat[:k, :]
-        g_sig = np.einsum("ai,ab,ib->i", uk, grad, vk)
-        p = _logistic(self.sigma_raw)
-        g_sigma_raw = g_sig * (-(self.lambda_max - self.lambda_min)
-                               * p * (1.0 - p))
-        gu = np.zeros_like(self.u_mat)
-        gu[:, :k] = grad @ vk.T * sig
-        gv = np.zeros_like(self.v_mat)
-        gv[:k, :] = sig[:, None] * (uk.T @ grad)
-        return [gu, gv, g_sigma_raw]
-
-    def _factor_penalties(self):
-        out = []
-        for mat in (self.u_mat, self.v_mat):
-            dev = mat.T @ mat - np.eye(mat.shape[1])
-            out.append((float(np.sum(dev * dev)), dev))
-        return out
-
-    def penalty(self) -> float:
-        total = 0.0
-        for q, _ in self._factor_penalties():
-            total += float(np.logaddexp(0.0, q))
-        return self.penalty_weight * total
-
-    def penalty_grads(self):
-        grads = []
-        for mat, (q, dev) in zip((self.u_mat, self.v_mat),
-                                 self._factor_penalties()):
-            grads.append(self.penalty_weight * _logistic(np.asarray(q))
-                         * 4.0 * mat @ dev)
-        grads.append(np.zeros_like(self.sigma_raw))
-        return grads
-
-
 # --- constrained network plumbing -------------------------------------------
 
 @dataclass
 class ConstrainedLayer:
     """One trainable layer: a weight parametrization, bias, activation."""
 
-    weight: TrainableWeight
+    weight: StructuredWeight
     bias: np.ndarray | None = None
     activation: str | None = None
 
@@ -684,28 +369,27 @@ class ConstrainedNetwork:
             for layer in self.layers
         ))
 
-    def all_params(self):
-        params = []
-        for layer in self.layers:
-            params.extend(layer.weight.params())
-            if layer.bias is not None:
-                params.append(layer.bias)
-        return params
-
     def collect(self, weight_grads, bias_grads):
         """Map realized-weight gradients onto the flat raw-parameter list.
 
-        Returns (params, grads) aligned pairwise; bias slots with a None
-        gradient are left out of both lists.
+        Each weight's structural penalty gradient is added to its raw
+        gradients.  Returns (params, grads, penalty): params and grads
+        aligned pairwise, bias slots with a None gradient left out of
+        both, and penalty the summed structural penalty value.
         """
-        params, grads = [], []
+        params, grads, penalty = [], [], 0.0
         for layer, gw, gb in zip(self.layers, weight_grads, bias_grads):
+            raw = layer.weight.vjp(gw)
+            pen = layer.weight.penalty_grads()
+            if pen is not None:
+                raw = [r + p for r, p in zip(raw, pen)]
+                penalty += layer.weight.penalty()
             params.extend(layer.weight.params())
-            grads.extend(layer.weight.param_grads(np.asarray(gw, dtype=float)))
+            grads.extend(raw)
             if layer.bias is not None and gb is not None:
                 params.append(layer.bias)
                 grads.append(np.asarray(gb, dtype=float))
-        return params, grads
+        return params, grads, penalty
 
 
 @dataclass
@@ -1003,21 +687,11 @@ def train(model, data: TrainingData, config: TrainConfig) -> TrainReport:
                 for gw, dg in zip(gw_f, d_grads):
                     gw += diss_weight * dg
 
-            params, grads = [], []
-            for cnet, gw_list, gb_list in ((f_cnet, gw_f, gb_f),
-                                           (g_cnet, gw_g, gb_g)):
-                for layer, gw, gb in zip(cnet.layers, gw_list, gb_list):
-                    raw = layer.weight.param_grads(gw)
-                    pen = layer.weight.penalty_grads()
-                    if pen is not None:
-                        raw = [r + p for r, p in zip(raw, pen)]
-                        reg_total += layer.weight.penalty()
-                    params.extend(layer.weight.params())
-                    grads.extend(raw)
-                    if layer.bias is not None:
-                        params.append(layer.bias)
-                        grads.append(gb)
-            opt.step(params, grads, config.learning_rate)
+            params, grads, pen_f = f_cnet.collect(gw_f, gb_f)
+            params_g, grads_g, pen_g = g_cnet.collect(gw_g, gb_g)
+            reg_total += pen_f + pen_g
+            opt.step(params + params_g, grads + grads_g,
+                     config.learning_rate)
             batch_losses.append(loss)
             batch_regs.append(reg_total)
 

@@ -21,7 +21,7 @@ from neurodissip.dissipativity import (
 )
 from neurodissip.network import Layer, MlpNetwork
 from neurodissip.pwa import extract_pwa
-from neurodissip.structured import gershgorin_map
+from neurodissip.structured import draw_map
 
 
 def linear_net(a, b=None):
@@ -136,7 +136,7 @@ class TestGrid:
                 assert coarse.a_norm[i, j] == fine.a_norm[3 * i + 1, 3 * j + 1]
 
     def test_certified_tanh_net_dissipative_at_2500_anchors(self):
-        w = gershgorin_map(2, 0.0, 1.0, seed=5, complex_conjugate=True)
+        w = draw_map("gershgorin_complex", 2, 0.0, 1.0, seed=5).realize()
         net = MlpNetwork(layers=tuple(
             Layer(weight=w.copy(), activation="tanh") for _ in range(4)
         ))

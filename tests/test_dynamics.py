@@ -18,7 +18,7 @@ from neurodissip.dynamics import (
 )
 from neurodissip.network import Layer, MlpNetwork
 from neurodissip.pwa import extract_pwa
-from neurodissip.structured import gershgorin_map, perron_frobenius_map
+from neurodissip.structured import draw_map
 
 
 def linear_net(a, b=None, activation="identity"):
@@ -129,7 +129,7 @@ class TestClassify:
         assert classify_attractor(traj, max_period=8) == "limit_cycle"
 
     def test_row_stochastic_relu_reaches_consensus_points(self):
-        w = perron_frobenius_map(2, 1.0, 1.0, seed=3)
+        w = draw_map("perron_frobenius", 2, 1.0, 1.0, seed=3).realize()
         net = linear_net(w, activation="relu")
         limits = []
         for x0 in ([4.0, 1.0], [1.0, 4.0], [-2.0, 5.0], [0.5, 0.25]):
@@ -152,7 +152,7 @@ class TestBasin:
         assert (basin.limit_ids == 0).all()
 
     def test_consensus_line_yields_many_collinear_clusters(self):
-        w = perron_frobenius_map(2, 1.0, 1.0, seed=3)
+        w = draw_map("perron_frobenius", 2, 1.0, 1.0, seed=3).realize()
         basin = basin_map(linear_net(w, activation="relu"),
                           GridSpec(resolution=15))
         assert (basin.classifications == "converged_point").all()
@@ -161,7 +161,7 @@ class TestBasin:
         np.testing.assert_allclose(pts[:, 0], pts[:, 1], atol=1e-6)
 
     def test_global_two_point_cycle_makes_two_clusters(self):
-        w = gershgorin_map(2, -1.5, -1.1, seed=1, complex_conjugate=True)
+        w = draw_map("gershgorin_complex", 2, -1.5, -1.1, seed=1).realize()
         bias = np.random.default_rng(1).uniform(-0.5, 0.5, 2)
         net = MlpNetwork(layers=(Layer(weight=w, bias=bias, activation="selu"),))
         basin = basin_map(net, GridSpec(resolution=9))

@@ -7,6 +7,8 @@ Those are checked against matrices whose spectra are known by
 construction, with np.linalg as the oracle for random matrices.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,21 @@ class TestEigenvalues:
         for row, m in zip(got, stack):
             np.testing.assert_allclose(row, eigenvalues(m), atol=1e-10)
 
+    @pytest.mark.parametrize("scale", [1e154, 1e200, 1e285, 1e300])
+    def test_batched_2x2_large_entries_stay_finite(self, scale):
+        # The trace squared overflows at these scales although every
+        # eigenvalue is finite; no warning may escape either.
+        rng = np.random.default_rng(13)
+        stack = scale * rng.standard_normal((40, 2, 2))
+        stack[0] = [[0.0, -scale], [scale, 0.0]]  # a pure rotation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = linalg._eigenvalues_batch(stack)
+        assert np.isfinite(got).all()
+        want = np.linalg.eigvals(stack)
+        for row, ref in zip(got, want):
+            np.testing.assert_allclose(np.sort_complex(row), np.sort_complex(ref),
+                                       rtol=1e-10, atol=1e-10 * scale)
 
     def test_batched_wider_sorted_from_known_spectra(self):
         # Similar to diagonal and rotation blocks, so the spectra are known.

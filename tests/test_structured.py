@@ -1,40 +1,178 @@
-"""Tests for the constrained weight generators."""
+"""Tests for the structured weight classes."""
+
+import re
 
 import numpy as np
 import pytest
 
 from neurodissip import linalg
 from neurodissip.structured import (
-    StructuredLinearMap,
+    MAP_KINDS,
+    FreeWeight,
+    GershgorinWeight,
+    PfWeight,
+    SpectralFreeWeight,
+    SpectralWeight,
     draw_map,
-    gershgorin_map,
     guarantee_report,
     householder_orthogonal,
-    perron_frobenius_map,
-    realize_gershgorin,
-    realize_pf,
-    realize_spectral,
-    spectral_svd_map,
-    unstructured_map,
-    weight_norm_penalties,
 )
+
+
+# --- reference generators ---------------------------------------------------
+# The seeded generators as they stood before the weight classes replaced
+# them, copied with their helpers so the reference shares no code with the
+# module under test.  draw_map(...).realize() must reproduce them bit for
+# bit: every stored network and sweep artifact depends on these draws.
+
+WIDTHS = (1, 2, 3, 8, 16)
+SPECTRAL_SHAPES = [(4, 2), (2, 4)]
+BOUNDS = [(0.0, 1.0), (0.5, 1.0), (-0.5, 0.5), (0.99, 1.01), (1.0, 1.0)]
+
+
+def reference_logistic(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+
+def reference_check_bounds(lambda_min, lambda_max, nonnegative):
+    if not (np.isfinite(lambda_min) and np.isfinite(lambda_max)):
+        raise ValueError("eigenvalue bounds must be finite")
+    if lambda_min > lambda_max:
+        raise ValueError(
+            f"invalid bounds: lambda_min {lambda_min} > lambda_max {lambda_max}"
+        )
+    if nonnegative and lambda_min < 0.0:
+        raise ValueError(
+            f"invalid bounds: lambda_min {lambda_min} must be nonnegative"
+        )
+
+
+def reference_damping_interval(raw, lambda_min, lambda_max):
+    return lambda_max - (lambda_max - lambda_min) * reference_logistic(raw)
+
+
+def reference_householder_orthogonal(vectors):
+    vecs = [np.asarray(v, dtype=float) for v in vectors]
+    if not vecs:
+        raise ValueError("at least one reflector vector is required")
+    dim = vecs[0].shape[0]
+    q = np.eye(dim)
+    for v in vecs:
+        if v.shape != (dim,):
+            raise ValueError("reflector vectors must share one dimension")
+        norm = np.sqrt(v @ v)
+        if norm == 0.0:
+            raise ValueError("zero reflector vector")
+        v = v / norm
+        q = q @ (np.eye(dim) - 2.0 * np.outer(v, v))
+    return q
+
+
+def reference_pf_from_params(a_raw, m_raw, lambda_min, lambda_max):
+    reference_check_bounds(lambda_min, lambda_max, nonnegative=True)
+    a_raw = linalg.as_matrix(a_raw, "a_raw")
+    m_raw = linalg.as_matrix(m_raw, "m_raw")
+    if a_raw.shape != m_raw.shape:
+        raise ValueError("a_raw and m_raw must have matching shapes")
+    shifted = a_raw - a_raw.max(axis=1, keepdims=True)
+    expa = np.exp(shifted)
+    softmax = expa / expa.sum(axis=1, keepdims=True)
+    damping = reference_damping_interval(m_raw, lambda_min, lambda_max)
+    return softmax * damping
+
+
+def reference_spectral_from_params(u_vectors, v_vectors, sigma_raw,
+                                   lambda_min, lambda_max):
+    reference_check_bounds(lambda_min, lambda_max, nonnegative=False)
+    u = reference_householder_orthogonal(u_vectors)
+    v = reference_householder_orthogonal(v_vectors)
+    sigma_raw = linalg.as_vector(sigma_raw, "sigma_raw")
+    k = sigma_raw.shape[0]
+    if k > min(u.shape[0], v.shape[0]):
+        raise ValueError("more singular values than matrix dimensions allow")
+    sig = reference_damping_interval(sigma_raw, lambda_min, lambda_max)
+    return u[:, :k] @ np.diag(sig) @ v[:k, :]
+
+
+def reference_gershgorin_from_params(m_raw, lambda_min, lambda_max,
+                                     complex_conjugate):
+    reference_check_bounds(lambda_min, lambda_max, nonnegative=False)
+    m = linalg.as_matrix(m_raw, "m_raw").copy()
+    n = m.shape[0]
+    if m.shape[1] != n:
+        raise ValueError("m_raw must be square")
+    lam = (lambda_min + lambda_max) / 2.0
+    rad = (lambda_max - lambda_min) / 2.0
+    np.fill_diagonal(m, 0.0)
+    if complex_conjugate:
+        m = (m - m.T) / 2.0
+    s = np.sum(np.abs(m), axis=1, keepdims=True)
+    s[s == 0.0] = 1.0
+    return lam * np.eye(n) + rad * m / s
+
+
+def reference_realize_pf(n, lambda_min, lambda_max, rng):
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    m_raw = rng.standard_normal((n, n))
+    a_raw = rng.standard_normal((n, n))
+    return reference_pf_from_params(a_raw, m_raw, lambda_min, lambda_max)
+
+
+def reference_realize_spectral(rows, cols, lambda_min, lambda_max, rng):
+    if rows < 1 or cols < 1:
+        raise ValueError("rows and cols must be at least 1")
+    reference_check_bounds(lambda_min, lambda_max, nonnegative=False)
+    u_vectors = [rng.standard_normal(rows) for _ in range(rows)]
+    v_vectors = [rng.standard_normal(cols) for _ in range(cols)]
+    sigma_raw = rng.standard_normal(min(rows, cols))
+    return reference_spectral_from_params(u_vectors, v_vectors, sigma_raw,
+                                          lambda_min, lambda_max)
+
+
+def reference_realize_gershgorin(n, lambda_min, lambda_max,
+                                 complex_conjugate, rng):
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    m_raw = rng.uniform(0.0, 1.0, (n, n))
+    return reference_gershgorin_from_params(m_raw, lambda_min, lambda_max,
+                                            complex_conjugate)
+
+
+def reference_realize_unstructured(rows, cols, rng):
+    if rows < 1 or cols < 1:
+        raise ValueError("rows and cols must be at least 1")
+    return rng.standard_normal((rows, cols)) / np.sqrt(cols)
+
+
+def reference_draw(kind, rows, cols, lambda_min, lambda_max, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "unstructured":
+        return reference_realize_unstructured(rows, cols, rng)
+    if kind == "perron_frobenius":
+        return reference_realize_pf(rows, lambda_min, lambda_max, rng)
+    if kind == "spectral_svd":
+        return reference_realize_spectral(rows, cols, lambda_min, lambda_max, rng)
+    return reference_realize_gershgorin(rows, lambda_min, lambda_max,
+                                        kind == "gershgorin_complex", rng)
 
 
 class TestPerronFrobenius:
     def test_stochastic_when_bounds_are_one(self):
-        w = perron_frobenius_map(5, 1.0, 1.0, seed=3)
+        w = draw_map("perron_frobenius", 5, 1.0, 1.0, seed=3).realize()
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
         assert (w >= 0).all()
         eigs = np.linalg.eigvals(w)
         assert np.abs(eigs).max() == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_upper_bound_gives_zero_matrix(self):
-        w = perron_frobenius_map(4, 0.0, 0.0, seed=0)
+        w = draw_map("perron_frobenius", 4, 0.0, 0.0, seed=0).realize()
         np.testing.assert_array_equal(w, np.zeros((4, 4)))
 
     def test_bounds_hold_over_seeds(self):
         for seed in range(100):
-            w = perron_frobenius_map(6, 0.0, 1.0, seed=seed)
+            w = draw_map("perron_frobenius", 6, 0.0, 1.0, seed=seed).realize()
             assert (w >= 0).all()
             sums = w.sum(axis=1)
             assert (sums >= -1e-10).all() and (sums <= 1.0 + 1e-10).all()
@@ -42,28 +180,28 @@ class TestPerronFrobenius:
 
     def test_rejects_negative_lower_bound(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            perron_frobenius_map(3, -0.5, 1.0)
+            draw_map("perron_frobenius", 3, -0.5, 1.0)
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError, match="invalid bounds"):
-            perron_frobenius_map(3, 1.0, 0.5)
+            draw_map("perron_frobenius", 3, 1.0, 0.5)
 
 
 class TestSpectral:
     def test_equal_bounds_pin_all_singular_values(self):
-        w = spectral_svd_map(4, 0.7, 0.7, seed=2)
+        w = draw_map("spectral_svd", 4, 0.7, 0.7, seed=2).realize()
         s = np.linalg.svd(w, compute_uv=False)
         np.testing.assert_allclose(s, 0.7, atol=1e-10)
         assert linalg.spectral_norm(w) == pytest.approx(0.7, abs=1e-8)
 
     def test_singular_values_within_bounds(self):
         for seed in range(100):
-            w = spectral_svd_map(5, 0.99, 1.10, seed=seed)
+            w = draw_map("spectral_svd", 5, 0.99, 1.10, seed=seed).realize()
             s = np.linalg.svd(w, compute_uv=False)
             assert (s >= 0.99 - 1e-8).all() and (s <= 1.10 + 1e-8).all()
 
     def test_non_square_shape(self):
-        w = spectral_svd_map(4, 0.5, 0.9, seed=1, cols=2)
+        w = draw_map("spectral_svd", 4, 0.5, 0.9, seed=1, cols=2).realize()
         assert w.shape == (4, 2)
         s = np.linalg.svd(w, compute_uv=False)
         assert s.shape == (2,)
@@ -72,7 +210,7 @@ class TestSpectral:
     def test_negative_interval_sets_singular_magnitudes(self):
         # Bounds entirely below zero realize W = U diag(sigma) V with
         # negative sigma; the singular values are the magnitudes.
-        w = spectral_svd_map(4, -1.5, -1.1, seed=0)
+        w = draw_map("spectral_svd", 4, -1.5, -1.1, seed=0).realize()
         s = np.linalg.svd(w, compute_uv=False)
         assert (s >= 1.1 - 1e-8).all() and (s <= 1.5 + 1e-8).all()
 
@@ -89,45 +227,47 @@ class TestSpectral:
 
 class TestGershgorin:
     def test_zero_radius_is_scaled_identity(self):
-        w = gershgorin_map(4, 0.5, 0.5, seed=0)
+        w = draw_map("gershgorin_real", 4, 0.5, 0.5, seed=0).realize()
         np.testing.assert_array_equal(w, 0.5 * np.eye(4))
 
     @pytest.mark.parametrize("complex_conjugate", [False, True])
     def test_eigenvalues_inside_disc(self, complex_conjugate):
         for seed in range(100):
-            w = gershgorin_map(8, 0.0, 1.0, seed=seed,
-                               complex_conjugate=complex_conjugate)
+            w = GershgorinWeight.draw(
+                8, 8, 0.0, 1.0, np.random.default_rng(seed),
+                complex_conjugate=complex_conjugate,
+            ).realize()
             eigs = np.linalg.eigvals(w)
             assert (np.abs(eigs - 0.5) <= 0.5 + 1e-10).all()
 
     def test_off_diagonal_rows_carry_the_radius(self):
-        w = gershgorin_map(6, 0.0, 1.0, seed=7)
+        w = draw_map("gershgorin_real", 6, 0.0, 1.0, seed=7).realize()
         off = w - np.diag(np.diag(w))
         np.testing.assert_allclose(np.abs(off).sum(axis=1), 0.5, atol=1e-12)
         np.testing.assert_allclose(np.diag(w), 0.5, atol=1e-15)
 
     def test_two_by_two_real_structure(self):
-        w = gershgorin_map(2, 0.0, 1.0, seed=11)
+        w = draw_map("gershgorin_real", 2, 0.0, 1.0, seed=11).realize()
         np.testing.assert_allclose(w, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_two_by_two_complex_structure(self):
-        w = gershgorin_map(2, 0.0, 1.0, seed=11, complex_conjugate=True)
+        w = draw_map("gershgorin_complex", 2, 0.0, 1.0, seed=11).realize()
         assert w[0, 0] == w[1, 1] == 0.5
         assert w[0, 1] == -w[1, 0]
         assert abs(w[0, 1]) == pytest.approx(0.5, abs=1e-15)
         assert np.linalg.norm(w, 2) == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_unstable_interval_spectral_radius_exceeds_one(self):
-        w = gershgorin_map(2, 1.1, 1.5, seed=0)
+        w = draw_map("gershgorin_real", 2, 1.1, 1.5, seed=0).realize()
         assert np.abs(np.linalg.eigvals(w)).max() > 1.0
 
     def test_negative_interval(self):
-        w = gershgorin_map(3, -1.5, -1.1, seed=4, complex_conjugate=True)
+        w = draw_map("gershgorin_complex", 3, -1.5, -1.1, seed=4).realize()
         eigs = np.linalg.eigvals(w)
         assert (np.abs(eigs + 1.3) <= 0.2 + 1e-10).all()
 
     def test_size_one_has_no_radius_term(self):
-        w = gershgorin_map(1, 0.0, 1.0, seed=0)
+        w = draw_map("gershgorin_real", 1, 0.0, 1.0, seed=0).realize()
         np.testing.assert_array_equal(w, [[0.5]])
 
 
@@ -144,19 +284,41 @@ class TestDeterminism:
         assert not np.array_equal(a, c)
 
     def test_draw_map_matches_seeded_generators(self):
-        seed = 21
-        np.testing.assert_array_equal(
-            draw_map("perron_frobenius", 3, 0.0, 1.0, seed=seed).realize(),
-            perron_frobenius_map(3, 0.0, 1.0, seed=seed))
-        np.testing.assert_array_equal(
-            draw_map("spectral_svd", 3, 0.2, 0.9, seed=seed).realize(),
-            spectral_svd_map(3, 0.2, 0.9, seed=seed))
-        np.testing.assert_array_equal(
-            draw_map("gershgorin_complex", 3, 0.0, 1.0, seed=seed).realize(),
-            gershgorin_map(3, 0.0, 1.0, seed=seed, complex_conjugate=True))
-        np.testing.assert_array_equal(
-            draw_map("unstructured", 3, seed=seed).realize(),
-            unstructured_map(3, seed=seed))
+        # Bit for bit against the generators the classes replaced, over
+        # every kind, width, bound pair and seed; a bound pair a kind
+        # rejects must be rejected with the same message.
+        for kind in MAP_KINDS:
+            for rows, cols in [(n, n) for n in WIDTHS] + SPECTRAL_SHAPES:
+                if kind != "spectral_svd" and rows != cols:
+                    continue
+                for lo, hi in BOUNDS:
+                    for seed in (0, 7):
+                        try:
+                            expected = reference_draw(kind, rows, cols, lo, hi, seed)
+                        except ValueError as exc:
+                            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                                draw_map(kind, rows, lo, hi, seed=seed, cols=cols)
+                            continue
+                        got = draw_map(kind, rows, lo, hi, seed=seed, cols=cols)
+                        np.testing.assert_array_equal(got.realize(), expected)
+
+    def test_spectral_free_draw_uses_the_reflector_products(self):
+        for rows, cols in [(3, 3), (4, 2), (2, 4)]:
+            w = SpectralFreeWeight.draw(rows, cols, 0.2, 0.9,
+                                        np.random.default_rng(7))
+            rng = np.random.default_rng(7)
+            u_vectors = [rng.standard_normal(rows) for _ in range(rows)]
+            v_vectors = [rng.standard_normal(cols) for _ in range(cols)]
+            sigma_raw = rng.standard_normal(min(rows, cols))
+            np.testing.assert_array_equal(
+                w.u_mat, householder_orthogonal(u_vectors))
+            np.testing.assert_array_equal(
+                w.v_mat, householder_orthogonal(v_vectors))
+            np.testing.assert_array_equal(w.sigma_raw, sigma_raw)
+            np.testing.assert_array_equal(
+                w.realize(),
+                reference_spectral_from_params(u_vectors, v_vectors,
+                                               sigma_raw, 0.2, 0.9))
 
     def test_rng_draw_order_is_stable(self):
         # Regression pin: the Gershgorin generator draws a full n x n
@@ -167,18 +329,42 @@ class TestDeterminism:
         m = (m - m.T) / 2.0
         s = np.sum(np.abs(m), axis=1, keepdims=True)
         expected = 0.5 * np.eye(2) + 0.5 * m / s
-        got = gershgorin_map(2, 0.0, 1.0, seed=5, complex_conjugate=True)
+        got = draw_map("gershgorin_complex", 2, 0.0, 1.0, seed=5).realize()
         np.testing.assert_array_equal(got, expected)
 
 
 class TestRecord:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown map kind"):
-            StructuredLinearMap(kind="magic", rows=2, cols=2)
+            draw_map("magic", 2)
 
     def test_rejects_non_square_gershgorin(self):
         with pytest.raises(ValueError, match="square"):
             draw_map("gershgorin_real", 3, cols=2)
+        with pytest.raises(ValueError, match="square"):
+            draw_map("gershgorin_complex", 2, cols=3)
+
+    def test_rejects_non_square_perron_frobenius(self):
+        with pytest.raises(ValueError, match="perron_frobenius maps must be square"):
+            draw_map("perron_frobenius", 3, cols=2)
+
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    def test_rejects_empty_shapes(self, kind):
+        with pytest.raises(ValueError, match="at least 1"):
+            draw_map(kind, 0)
+        with pytest.raises(ValueError, match="at least 1"):
+            draw_map(kind, 2, cols=-1)
+
+    def test_draw_map_returns_the_class_of_its_kind(self):
+        classes = {
+            "unstructured": FreeWeight, "perron_frobenius": PfWeight,
+            "spectral_svd": SpectralWeight, "gershgorin_real": GershgorinWeight,
+            "gershgorin_complex": GershgorinWeight,
+        }
+        for kind in MAP_KINDS:
+            weight = draw_map(kind, 3, 0.2, 0.9, seed=1)
+            assert type(weight) is classes[kind]
+            assert weight.kind == kind
 
     def test_guarantee_reports_pass(self):
         for kind in ("perron_frobenius", "spectral_svd",
@@ -200,24 +386,3 @@ class TestRecord:
     def test_unstructured_passes_vacuously(self):
         report = guarantee_report(draw_map("unstructured", 3, seed=1))
         assert report["passed"] and report["checks"] == {}
-
-
-class TestNormPenalties:
-    def test_zero_matrix(self):
-        pens = weight_norm_penalties(np.zeros((3, 3)))
-        assert pens == {"l1": 0.0, "l2": 0.0, "spectral": 0.0}
-
-    def test_identity(self):
-        pens = weight_norm_penalties(np.eye(3))
-        assert pens["l1"] == pytest.approx(3.0)
-        assert pens["l2"] == pytest.approx(np.sqrt(3.0))
-        assert pens["spectral"] == pytest.approx(1.0, abs=1e-10)
-
-    def test_spectral_matches_oracle(self):
-        rng = np.random.default_rng(17)
-        for _ in range(20):
-            w = rng.standard_normal((5, 3))
-            pens = weight_norm_penalties(w)
-            assert pens["spectral"] == pytest.approx(
-                np.linalg.norm(w, 2), rel=1e-9)
-            assert pens["l2"] == pytest.approx(np.linalg.norm(w), rel=1e-12)

@@ -2,8 +2,8 @@
 
 Gradients are checked against central finite differences, losses against
 hand arithmetic, and the dissipativity penalty against an explicit
-diag(lambda_l) W_l chain.  The structured-parametrization tests verify both the exact
-reproduction of the seeded generators and the raw-parameter gradients.
+diag(lambda_l) W_l chain.  The structured-parametrization tests verify the
+documented draw order and the raw-parameter gradients (vjp).
 """
 
 import json
@@ -11,17 +11,21 @@ import json
 import numpy as np
 import pytest
 
-from neurodissip import activations, dissipativity, structured, training
+from neurodissip import activations, dissipativity, training
 from neurodissip.network import Layer, MlpNetwork
-from neurodissip.training import (
-    BlockSSM,
-    ConstrainedLayer,
-    ConstrainedNetwork,
+from neurodissip.structured import (
+    MAP_KINDS,
     FreeWeight,
     GershgorinWeight,
     PfWeight,
     SpectralFreeWeight,
     SpectralWeight,
+    draw_map,
+)
+from neurodissip.training import (
+    BlockSSM,
+    ConstrainedLayer,
+    ConstrainedNetwork,
     TrainConfig,
     TrainingData,
     TrainingDiverged,
@@ -540,7 +544,7 @@ class TestRegularizers:
 
     def test_penalty_descent_drives_toward_one(self):
         rng = np.random.default_rng(14)
-        weight = 1.6 * structured.unstructured_map(2, seed=14)
+        weight = 1.6 * draw_map("unstructured", 2, seed=14).realize()
         net = ConstrainedNetwork(layers=[
             ConstrainedLayer(weight=FreeWeight(weight.copy()),
                              bias=None, activation="tanh"),
@@ -552,7 +556,7 @@ class TestRegularizers:
             realized = net.realize()
             value, grads = dissipativity.dissipativity_penalty(realized, anchors)
             values.append(value)
-            params, grad_list = net.collect(
+            params, grad_list, _ = net.collect(
                 [g.copy() for g in grads], [None]
             )
             opt.step(params, grad_list, lr=0.01)
@@ -561,7 +565,7 @@ class TestRegularizers:
         assert values[-1] <= 1.001
 
 
-def fd_param_grads(weight_obj, direction, h=1e-6):
+def fd_vjp(weight_obj, direction, h=1e-6):
     """Central differences of sum(direction * realize()) in each raw entry."""
     grads = []
     for p in weight_obj.params():
@@ -578,11 +582,11 @@ def fd_param_grads(weight_obj, direction, h=1e-6):
     return grads
 
 
-def assert_param_grads_match(weight_obj, seed, rtol=1e-5, atol=1e-7):
+def assert_vjp_matches(weight_obj, seed, rtol=1e-5, atol=1e-7):
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(weight_obj.realize().shape)
-    analytic = weight_obj.param_grads(direction)
-    numeric = fd_param_grads(weight_obj, direction)
+    analytic = weight_obj.vjp(direction)
+    numeric = fd_vjp(weight_obj, direction)
     assert len(analytic) == len(numeric)
     for a, n in zip(analytic, numeric):
         np.testing.assert_allclose(a, n, rtol=rtol, atol=atol)
@@ -590,66 +594,90 @@ def assert_param_grads_match(weight_obj, seed, rtol=1e-5, atol=1e-7):
 
 class TestTrainableParametrizations:
     def test_pf_seed_reproduces_generator(self):
-        w = PfWeight.from_seed(3, 0.5, 1.0, seed=6)
+        # The documented draw order: m_raw first, then a_raw.
+        rng = np.random.default_rng(6)
+        m_raw = rng.standard_normal((3, 3))
+        a_raw = rng.standard_normal((3, 3))
         np.testing.assert_array_equal(
-            w.realize(), structured.perron_frobenius_map(3, 0.5, 1.0, seed=6)
+            draw_map("perron_frobenius", 3, 0.5, 1.0, seed=6).realize(),
+            PfWeight(a_raw, m_raw, 0.5, 1.0).realize(),
         )
 
     def test_spectral_seed_reproduces_generator(self):
-        w = SpectralWeight.from_seed(4, 4, 0.2, 0.9, seed=7)
-        np.testing.assert_array_equal(
-            w.realize(), structured.spectral_svd_map(4, 0.2, 0.9, seed=7)
-        )
-        wide = SpectralWeight.from_seed(4, 2, 0.2, 0.9, seed=8)
-        np.testing.assert_array_equal(
-            wide.realize(), structured.spectral_svd_map(4, 0.2, 0.9, seed=8, cols=2)
-        )
+        # U's reflectors, then V's, then the raw singular values.
+        for rows, cols, seed in ((4, 4, 7), (4, 2, 8)):
+            rng = np.random.default_rng(seed)
+            u_vectors = [rng.standard_normal(rows) for _ in range(rows)]
+            v_vectors = [rng.standard_normal(cols) for _ in range(cols)]
+            sigma_raw = rng.standard_normal(min(rows, cols))
+            np.testing.assert_array_equal(
+                draw_map("spectral_svd", rows, 0.2, 0.9, seed=seed,
+                         cols=cols).realize(),
+                SpectralWeight(u_vectors, v_vectors, sigma_raw,
+                               0.2, 0.9).realize(),
+            )
 
     def test_gershgorin_seed_reproduces_generator(self):
-        for flag in (False, True):
-            w = GershgorinWeight.from_seed(3, -0.5, 0.5, seed=9,
-                                           complex_conjugate=flag)
+        for kind, flag in (("gershgorin_real", False),
+                           ("gershgorin_complex", True)):
+            m_raw = np.random.default_rng(9).uniform(0.0, 1.0, (3, 3))
             np.testing.assert_array_equal(
-                w.realize(),
-                structured.gershgorin_map(3, -0.5, 0.5, seed=9,
-                                          complex_conjugate=flag),
+                draw_map(kind, 3, -0.5, 0.5, seed=9).realize(),
+                GershgorinWeight(m_raw, -0.5, 0.5, flag).realize(),
             )
 
     def test_pf_parameter_gradients(self):
-        assert_param_grads_match(PfWeight.from_seed(3, 0.3, 0.9, seed=1), seed=100)
+        assert_vjp_matches(
+            draw_map("perron_frobenius", 3, 0.3, 0.9, seed=1), seed=100
+        )
 
     def test_spectral_parameter_gradients(self):
-        assert_param_grads_match(
-            SpectralWeight.from_seed(3, 3, 0.2, 1.1, seed=2), seed=101
+        assert_vjp_matches(
+            draw_map("spectral_svd", 3, 0.2, 1.1, seed=2), seed=101
         )
-        assert_param_grads_match(
-            SpectralWeight.from_seed(4, 2, 0.0, 1.0, seed=3), seed=102
+        assert_vjp_matches(
+            draw_map("spectral_svd", 4, 0.0, 1.0, seed=3, cols=2), seed=102
         )
 
     def test_gershgorin_parameter_gradients(self):
-        assert_param_grads_match(
-            GershgorinWeight.from_seed(3, -0.8, 0.6, seed=4), seed=103
+        assert_vjp_matches(
+            draw_map("gershgorin_real", 3, -0.8, 0.6, seed=4), seed=103
         )
-        assert_param_grads_match(
-            GershgorinWeight.from_seed(3, 0.0, 1.0, seed=5,
-                                       complex_conjugate=True),
-            seed=104,
+        assert_vjp_matches(
+            draw_map("gershgorin_complex", 3, 0.0, 1.0, seed=5), seed=104
         )
 
     def test_spectral_free_parameter_gradients(self):
-        assert_param_grads_match(
-            SpectralFreeWeight.from_seed(3, 3, 0.1, 0.9, seed=6), seed=105
+        assert_vjp_matches(
+            SpectralFreeWeight.draw(3, 3, 0.1, 0.9, np.random.default_rng(6)),
+            seed=105,
         )
 
+    @pytest.mark.parametrize("case", [
+        *[(kind, 3, 3) for kind in MAP_KINDS],
+        ("spectral_svd", 4, 2), ("spectral_svd", 2, 4),
+        ("spectral_free", 3, 3), ("spectral_free", 4, 2),
+    ], ids=lambda case: "%s-%dx%d" % case)
+    def test_vjp_matches_finite_differences(self, case):
+        kind, rows, cols = case
+        if kind == "spectral_free":
+            weight = SpectralFreeWeight.draw(rows, cols, 0.2, 0.9,
+                                             np.random.default_rng(31))
+        else:
+            weight = draw_map(kind, rows, 0.2, 0.9, seed=31, cols=cols)
+        assert_vjp_matches(weight, seed=106)
+
     def test_spectral_free_orthogonality_penalty(self):
-        w = SpectralFreeWeight.from_seed(4, 4, 0.2, 0.8, seed=7)
+        w = SpectralFreeWeight.draw(4, 4, 0.2, 0.8,
+                                    np.random.default_rng(7))
         base = w.penalty()
         assert base == pytest.approx(2.0 * np.log(2.0), rel=1e-6)
         w.params()[0][0, 0] += 0.5
         assert w.penalty() > base
 
     def test_spectral_free_penalty_gradients(self):
-        w = SpectralFreeWeight.from_seed(3, 3, 0.2, 0.8, seed=8)
+        w = SpectralFreeWeight.draw(3, 3, 0.2, 0.8,
+                                    np.random.default_rng(8))
         for p in w.params():
             p += 0.05 * np.random.default_rng(11).standard_normal(p.shape)
         analytic = w.penalty_grads()
@@ -671,19 +699,19 @@ class TestTrainableParametrizations:
         # must survive by construction, not by staying near initialization.
         rng = np.random.default_rng(15)
         for _ in range(25):
-            pf = PfWeight.from_seed(3, 0.2, 0.9, seed=0)
+            pf = draw_map("perron_frobenius", 3, 0.2, 0.9)
             for p in pf.params():
                 p[...] = 1e4 * rng.standard_normal(p.shape)
             rows = np.abs(pf.realize()).sum(axis=1)
             assert np.all(rows >= 0.2 - 1e-10) and np.all(rows <= 0.9 + 1e-10)
 
-            sv = SpectralWeight.from_seed(3, 3, 0.3, 1.2, seed=0)
+            sv = draw_map("spectral_svd", 3, 0.3, 1.2)
             for p in sv.params():
                 p[...] = 1e4 * rng.standard_normal(p.shape)
             sing = np.linalg.svd(sv.realize(), compute_uv=False)
             assert np.all(sing >= 0.3 - 1e-8) and np.all(sing <= 1.2 + 1e-8)
 
-            gg = GershgorinWeight.from_seed(3, -1.0, 0.5, seed=0)
+            gg = draw_map("gershgorin_real", 3, -1.0, 0.5)
             for p in gg.params():
                 p[...] = 1e4 * rng.standard_normal(p.shape)
             eig = np.linalg.eigvals(gg.realize())
@@ -694,11 +722,11 @@ class TestTrainableParametrizations:
         b = [[1.0], [0.5]]
         data = linear_plant_data(a, b, samples=240, seed=9)
         f = ConstrainedNetwork(layers=[
-            ConstrainedLayer(weight=GershgorinWeight.from_seed(2, 0.0, 0.95,
-                                                               seed=10),
+            ConstrainedLayer(weight=draw_map("gershgorin_real", 2, 0.0, 0.95,
+                                             seed=10),
                              bias=np.zeros(2), activation="tanh"),
-            ConstrainedLayer(weight=SpectralWeight.from_seed(2, 2, 0.0, 0.95,
-                                                             seed=11),
+            ConstrainedLayer(weight=draw_map("spectral_svd", 2, 0.0, 0.95,
+                                             seed=11),
                              bias=np.zeros(2), activation=None),
         ])
         g = ConstrainedNetwork.from_network(make_mlp((1, 4, 2), seed=12))
