@@ -14,17 +14,17 @@ certificate.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
+from itertools import chain, repeat
 
 import numpy as np
 
-from . import dissipativity, dynamics, plants, structured, training
+from . import artifacts, dissipativity, dynamics, plants, structured, training
 from .activations import get_activation
 from .dissipativity import GridSpec
 from .network import Layer, MlpNetwork
@@ -155,6 +155,16 @@ class TrainSpec:
         for key, value in regs.items():
             regs[key] = float(value)
         object.__setattr__(self, "regularizers", regs)
+        try:
+            train_config = training.TrainConfig(
+                horizon=self.horizon, batch=self.batch, epochs=self.epochs,
+                learning_rate=self.learning_rate, optimizer=self.optimizer,
+                regularizers=regs, seed=self.seed,
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
+        # Not a dataclass field, so it is neither a config key nor emitted.
+        object.__setattr__(self, "train_config", train_config)
 
 
 _SECTIONS = {
@@ -206,27 +216,18 @@ class ExperimentConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        def plain(value):
-            if isinstance(value, tuple):
-                return [plain(v) for v in value]
-            if isinstance(value, dict):
-                return {k: plain(v) for k, v in value.items()}
-            return value
+        return asdict(self)
 
-        out: dict = {"seed": self.seed}
-        for name, section_cls in _SECTIONS.items():
-            spec = getattr(self, name)
-            out[name] = {f.name: plain(getattr(spec, f.name))
-                         for f in fields(section_cls)}
-        return out
+
+def _config_data(text: str) -> dict:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}")
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
-    return ExperimentConfig.from_dict(data)
+    return ExperimentConfig.from_dict(_config_data(text))
 
 
 def emit_config(config: ExperimentConfig) -> str:
@@ -390,28 +391,6 @@ def resolve_threads(requested) -> int:
     return os.cpu_count() or 1
 
 
-def _plain(value):
-    """Recursively convert numpy scalars/arrays into JSON-ready values."""
-    if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return [[float(v.real), float(v.imag)] for v in value.ravel()]
-        return value.tolist()
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return v if np.isfinite(v) else repr(v)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
 def _metadata(command: str, config: ExperimentConfig) -> dict:
     return {
         "command": command,
@@ -421,9 +400,7 @@ def _metadata(command: str, config: ExperimentConfig) -> dict:
 
 
 def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(_plain(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    artifacts.write_json(path, artifacts.plain(payload), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -619,11 +596,7 @@ def _load_config(args) -> ExperimentConfig:
         data = json.loads(json.dumps(PRESETS[args.preset]))
     elif getattr(args, "config", None):
         with open(args.config) as fh:
-            text = fh.read()
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}")
+            data = _config_data(fh.read())
     for assignment in getattr(args, "set", None) or []:
         apply_override(data, assignment)
     return ExperimentConfig.from_dict(data)
@@ -686,12 +659,10 @@ def cmd_spectra(args) -> int:
     studies = dynamics.depth_spectra(template, config.analysis.depths, anchors,
                                      mode=config.analysis.mode)
     dynamics.write_spectra_csv(studies, os.path.join(out, "histograms.csv"))
-    with open(os.path.join(out, "eigenvalues.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["depth", "modulus"])
-        for study in studies:
-            for value in study.eigenvalue_moduli:
-                writer.writerow([study.depth, repr(float(value))])
+    artifacts.write_csv(os.path.join(out, "eigenvalues.csv"), ("depth", "modulus"), (
+        chain.from_iterable(repeat(s.depth, s.eigenvalue_moduli.size) for s in studies),
+        chain.from_iterable(artifacts.numbers(s.eigenvalue_moduli) for s in studies),
+    ))
     medians = {study.depth: study.median_modulus() for study in studies}
     _write_json(os.path.join(out, "spectra_summary.json"), {
         "median_modulus": {str(d): m for d, m in medians.items()},
@@ -773,11 +744,7 @@ def cmd_train(args) -> int:
     )
     test_states, test_inputs = data.split_arrays("test")
     init_mse = training.open_loop_mse(model, test_states, test_inputs)
-    report = training.train(model, data, training.TrainConfig(
-        horizon=spec.horizon, batch=spec.batch, epochs=spec.epochs,
-        learning_rate=spec.learning_rate, optimizer=spec.optimizer,
-        regularizers=spec.regularizers, seed=spec.seed,
-    ))
+    report = training.train(model, data, spec.train_config)
     best_mse = training.open_loop_mse(report.best_model, test_states,
                                       test_inputs)
     training.save_checkpoint(report.best_model,
@@ -824,31 +791,29 @@ _SWEEP_CSV_COLUMNS = (
 
 
 def _sweep_row(name: str, config: ExperimentConfig, report) -> dict:
-    row = {
-        "name": name,
-        "kind": config.map.kind,
-        "lambda_min": config.map.lambda_min,
-        "lambda_max": config.map.lambda_max,
-        "depth": config.network.depth,
-        "activation": config.network.activation,
-        "bias": int(config.network.bias),
-        "seed": config.seed,
-        "status": "", "certified_layerwise": "", "max_w_norm": "",
-        "fraction_dissipative": "", "max_a_norm": "", "grid_errors": "",
-        "error": "",
-    }
+    row = dict.fromkeys(_SWEEP_CSV_COLUMNS, "")
+    row.update(
+        name=name,
+        kind=config.map.kind,
+        lambda_min=config.map.lambda_min,
+        lambda_max=config.map.lambda_max,
+        depth=config.network.depth,
+        activation=config.network.activation,
+        bias=int(config.network.bias),
+        seed=config.seed,
+    )
     if isinstance(report, Exception):
         row["status"] = "ERROR"
         row["error"] = str(report)
         return row
     row["status"] = report["status"]
     row["certified_layerwise"] = int(report["layerwise"]["certified"])
-    row["max_w_norm"] = repr(max(report["layerwise"]["w_norms"]))
+    row["max_w_norm"] = artifacts.number(max(report["layerwise"]["w_norms"]))
     grid = report.get("grid")
     if grid is not None:
-        row["fraction_dissipative"] = repr(grid["fraction_dissipative"])
+        row["fraction_dissipative"] = artifacts.number(grid["fraction_dissipative"])
         if grid["max_a_norm"] is not None:
-            row["max_a_norm"] = repr(grid["max_a_norm"])
+            row["max_a_norm"] = artifacts.number(grid["max_a_norm"])
         row["grid_errors"] = grid["errors"]
     return row
 
@@ -916,10 +881,8 @@ def cmd_sweep(args) -> int:
         report["metadata"] = _metadata("sweep", config)
         _write_json(os.path.join(report_dir, f"{name}.json"), report)
 
-    with open(os.path.join(out, "sweep.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_SWEEP_CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    artifacts.write_csv(os.path.join(out, "sweep.csv"), _SWEEP_CSV_COLUMNS,
+                        ([row[c] for row in rows] for c in _SWEEP_CSV_COLUMNS))
     print(f"sweep: {len(configs)} configurations, "
           f"{counts[STATUS_GLOBAL]} global, {counts[STATUS_REGIONAL]} regional, "
           f"{counts[STATUS_FAILED]} not certified, {counts['ERROR']} errors")

@@ -19,12 +19,11 @@ dimensions use sampled anchor sets with the same per-point schema.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import artifacts, linalg
 from .activations import STABLE, get_activation, ray_gains
 from .network import MlpNetwork
 from .pwa import PwaForm, extract_pwa_batch
@@ -407,82 +406,56 @@ def lhs_anchors(dim: int, count: int, bounds, seed: int) -> np.ndarray:
     return bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
 
 
-def _csv_float(x: float) -> str:
-    return repr(float(x))
-
-
 def write_grid_csv(analysis: GridAnalysis, path) -> None:
     """Write the pinned per-cell table.
 
     Columns: x1,x2,a_norm,b_norm,dissipative,contractive_affine,
     max_eig_re,max_eig_im,eig_moduli (a JSON array, quoted).  Undefined
     contractive entries are left empty; error cells carry empty numeric
-    fields and the message in an extra final column.
+    fields, an empty ``[]`` eig_moduli and the message in an extra final
+    column.
     """
-    xs = analysis.spec.axis_centers(0)
-    ys = analysis.spec.axis_centers(1)
     r = analysis.resolution
-    lines = [
-        "x1,x2,a_norm,b_norm,dissipative,contractive_affine,"
-        "max_eig_re,max_eig_im,eig_moduli,error"
-    ]
-    for i in range(r):
-        for j in range(r):
-            err = analysis.errors.get((i, j))
-            if err is None:
-                eig = analysis.eigenvalues[i, j]
-                moduli = json.dumps([float(m) for m in np.abs(eig)])
-                contr = int(analysis.contractive[i, j])
-                row = [
-                    _csv_float(xs[i]),
-                    _csv_float(ys[j]),
-                    _csv_float(analysis.a_norm[i, j]),
-                    _csv_float(analysis.b_norm[i, j]),
-                    "true" if analysis.dissipative[i, j] else "false",
-                    "" if contr == -1 else ("true" if contr == 1 else "false"),
-                    _csv_float(eig[0].real),
-                    _csv_float(eig[0].imag),
-                    f'"{moduli}"',
-                    "",
-                ]
-            else:
-                row = [_csv_float(xs[i]), _csv_float(ys[j]),
-                       "", "", "false", "", "", "", '"[]"', err]
-            lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    failed = np.zeros((r, r), dtype=bool)
+    for i, j in analysis.errors:
+        failed[i, j] = True
+    centers = analysis.spec.cell_centers()
+    eig = analysis.eigenvalues[:, :, 0]
+    artifacts.write_csv(path, (
+        "x1", "x2", "a_norm", "b_norm", "dissipative", "contractive_affine",
+        "max_eig_re", "max_eig_im", "eig_moduli", "error",
+    ), (
+        artifacts.numbers(centers[:, 0]),
+        artifacts.numbers(centers[:, 1]),
+        artifacts.blank(failed, artifacts.numbers(analysis.a_norm)),
+        artifacts.blank(failed, artifacts.numbers(analysis.b_norm)),
+        artifacts.flags(analysis.dissipative),
+        artifacts.blank(failed | (analysis.contractive == -1),
+                        artifacts.flags(analysis.contractive == 1)),
+        artifacts.blank(failed, artifacts.numbers(eig.real)),
+        artifacts.blank(failed, artifacts.numbers(eig.imag)),
+        artifacts.blank(failed, artifacts.json_lists(
+            np.abs(analysis.eigenvalues).reshape(r * r, -1)), "[]"),
+        (analysis.errors.get(divmod(k, r), "") for k in range(r * r)),
+    ), lineterminator="\n")
 
 
 def write_grid_json(analysis: GridAnalysis, path) -> None:
     """Full-structure JSON export of a grid analysis."""
-    doc = {
+    artifacts.write_json(path, {
         "mode": analysis.mode,
         "x_range": list(analysis.spec.x_range),
         "y_range": list(analysis.spec.y_range),
         "resolution": analysis.resolution,
         "summary": analysis.summary(),
-        "a_norm": _nan_to_none(analysis.a_norm),
-        "b_norm": _nan_to_none(analysis.b_norm),
+        "a_norm": artifacts.nan_to_none(analysis.a_norm),
+        "b_norm": artifacts.nan_to_none(analysis.b_norm),
         "dissipative": analysis.dissipative.tolist(),
         "contractive_affine": analysis.contractive.tolist(),
-        "eigenvalues_re": _nan_to_none(analysis.eigenvalues.real),
-        "eigenvalues_im": _nan_to_none(analysis.eigenvalues.imag),
+        "eigenvalues_re": artifacts.nan_to_none(analysis.eigenvalues.real),
+        "eigenvalues_im": artifacts.nan_to_none(analysis.eigenvalues.imag),
         "errors": [
             {"i": i, "j": j, "message": msg}
             for (i, j), msg in sorted(analysis.errors.items())
         ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def _nan_to_none(arr: np.ndarray):
-    out = arr.tolist()
-
-    def scrub(x):
-        if isinstance(x, list):
-            return [scrub(v) for v in x]
-        return None if (x != x) else x  # nan != nan
-
-    return scrub(out)
+    })

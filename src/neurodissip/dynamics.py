@@ -15,13 +15,13 @@ distinct limits.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import linalg
+from . import artifacts, linalg
 from .dissipativity import GridSpec
 from .network import Layer, MlpNetwork
 from .pwa import extract_pwa_batch
@@ -31,7 +31,6 @@ __all__ = [
     "BasinMap",
     "SpectraStudy",
     "rollout",
-    "classify_attractor",
     "basin_map",
     "depth_spectra",
     "write_trajectory_csv",
@@ -198,16 +197,6 @@ def rollout(
     )
 
 
-def classify_attractor(
-    traj: Trajectory,
-    cycle_tol: float = DEFAULT_CYCLE_TOL,
-    max_period: int = DEFAULT_MAX_PERIOD,
-) -> str:
-    """Re-derive the classification of a completed trajectory."""
-    cls, _, _, _ = _classify(traj.states, traj.halt, cycle_tol, max_period)
-    return cls
-
-
 class _LimitClusters:
     """Online clustering of limit points by a fixed merge radius."""
 
@@ -367,38 +356,27 @@ def depth_spectra(
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    dim = traj.states.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{i + 1}" for i in range(dim)])
-        for t, state in enumerate(traj.states):
-            writer.writerow([t] + [repr(float(v)) for v in state])
+    steps, dim = traj.states.shape
+    artifacts.write_csv(
+        path, ["t"] + [f"x{i + 1}" for i in range(dim)],
+        [range(steps)] + [artifacts.numbers(col) for col in traj.states.T],
+    )
 
 
 def write_basin_csv(basin: BasinMap, path) -> None:
-    xs = basin.spec.axis_centers(0)
-    ys = basin.spec.axis_centers(1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "class", "limit_id"])
-        for i in range(basin.spec.resolution):
-            for j in range(basin.spec.resolution):
-                writer.writerow([
-                    repr(float(xs[i])), repr(float(ys[j])),
-                    basin.classifications[i, j],
-                    int(basin.limit_ids[i, j]),
-                ])
+    centers = basin.spec.cell_centers()
+    artifacts.write_csv(path, ("x1", "x2", "class", "limit_id"), (
+        artifacts.numbers(centers[:, 0]),
+        artifacts.numbers(centers[:, 1]),
+        basin.classifications.ravel().tolist(),
+        basin.limit_ids.ravel().tolist(),
+    ))
 
 
 def write_spectra_csv(studies: Sequence[SpectraStudy], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "count", "depth"])
-        for study in studies:
-            for b in range(study.histogram.shape[0]):
-                writer.writerow([
-                    repr(float(study.bin_edges[b])),
-                    repr(float(study.bin_edges[b + 1])),
-                    int(study.histogram[b]),
-                    study.depth,
-                ])
+    artifacts.write_csv(path, ("bin_lo", "bin_hi", "count", "depth"), (
+        chain.from_iterable(artifacts.numbers(s.bin_edges[:-1]) for s in studies),
+        chain.from_iterable(artifacts.numbers(s.bin_edges[1:]) for s in studies),
+        chain.from_iterable(s.histogram.tolist() for s in studies),
+        chain.from_iterable(repeat(s.depth, s.histogram.shape[0]) for s in studies),
+    ))

@@ -15,11 +15,11 @@ The JSON schema round-trips float64 weights losslessly::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifacts
 from .activations import Activation, get_activation
 
 __all__ = ["Layer", "MlpNetwork", "save_network", "load_network"]
@@ -160,11 +160,8 @@ class MlpNetwork:
 
 
 def save_network(net: MlpNetwork, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(net.to_dict(), fh, indent=2)
-        fh.write("\n")
+    artifacts.write_json(path, net.to_dict())
 
 
 def load_network(path) -> MlpNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
-        return MlpNetwork.from_dict(json.load(fh))
+    return MlpNetwork.from_dict(artifacts.read_json(path))

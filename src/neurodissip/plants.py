@@ -18,13 +18,13 @@ can train in [-1, 1] and report in physical units.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from . import artifacts
 
 __all__ = [
     "PlantModel",
@@ -39,9 +39,7 @@ __all__ = [
     "benchmark_dataset",
     "minmax_constants",
     "to_unit_range",
-    "from_unit_range",
     "write_dataset",
-    "load_dataset",
 ]
 
 PLANT_KINDS = ("cstr", "two_tank")
@@ -291,13 +289,6 @@ def to_unit_range(arr, mins, maxs) -> np.ndarray:
     return np.where(live, z, 0.0)
 
 
-def from_unit_range(z, mins, maxs) -> np.ndarray:
-    span = np.asarray(maxs, dtype=float) - np.asarray(mins, dtype=float)
-    live = span > 1e-12
-    x = (np.asarray(z, dtype=float) + 1.0) * np.where(live, span, 0.0) / 2.0
-    return x + np.asarray(mins)
-
-
 def _third_splits(n: int) -> tuple:
     third = n // 3
     return ((0, third), (third, 2 * third), (2 * third, n))
@@ -421,20 +412,14 @@ def benchmark_dataset(
 def write_dataset(dataset: PlantDataset, csv_path, sidecar_path) -> None:
     """Emit the trajectory CSV plus a JSON sidecar with all metadata."""
     n_x, n_u = dataset.plant.state_dim, dataset.plant.input_dim
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t"]
-            + [f"x{i + 1}" for i in range(n_x)]
-            + [f"u{i + 1}" for i in range(n_u)]
-        )
-        for k in range(dataset.samples):
-            writer.writerow(
-                [repr(k * dataset.dt)]
-                + [repr(float(v)) for v in dataset.states[k]]
-                + [repr(float(v)) for v in dataset.inputs[k]]
-            )
-    sidecar = {
+    artifacts.write_csv(
+        csv_path,
+        ["t"] + [f"x{i + 1}" for i in range(n_x)] + [f"u{i + 1}" for i in range(n_u)],
+        [artifacts.numbers(np.arange(dataset.samples) * dataset.dt)]
+        + [artifacts.numbers(col) for col in dataset.states.T]
+        + [artifacts.numbers(col) for col in dataset.inputs.T],
+    )
+    artifacts.write_json(sidecar_path, {
         "plant": {
             "kind": dataset.plant.kind,
             "parameters": dataset.plant.parameters,
@@ -449,45 +434,4 @@ def write_dataset(dataset: PlantDataset, csv_path, sidecar_path) -> None:
         "samples": dataset.samples,
         "splits": [list(span) for span in dataset.splits],
         "normalization": dataset.normalization(),
-    }
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
-
-
-def load_dataset(csv_path, sidecar_path) -> PlantDataset:
-    with open(sidecar_path) as fh:
-        sidecar = json.load(fh)
-    meta = sidecar["plant"]
-    plant = PlantModel(
-        kind=meta["kind"],
-        parameters=meta["parameters"],
-        state_dim=meta["state_dim"],
-        input_dim=meta["input_dim"],
-        state_bounds=np.asarray(meta["state_bounds"]),
-        input_bounds=np.asarray(meta["input_bounds"]),
-        clamp_states=meta["clamp_states"],
-    )
-    n_x, n_u = plant.state_dim, plant.input_dim
-    rows = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = (
-            ["t"]
-            + [f"x{i + 1}" for i in range(n_x)]
-            + [f"u{i + 1}" for i in range(n_u)]
-        )
-        if header != expected:
-            raise ValueError(f"unexpected dataset header {header}")
-        for row in reader:
-            rows.append([float(v) for v in row])
-    data = np.asarray(rows)
-    return PlantDataset(
-        plant=plant,
-        dt=float(sidecar["dt"]),
-        states=data[:, 1 : 1 + n_x],
-        inputs=data[:, 1 + n_x :],
-        splits=tuple(tuple(span) for span in sidecar["splits"]),
-        seed=sidecar.get("seed"),
-    )
+    })

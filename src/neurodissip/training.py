@@ -18,12 +18,12 @@ parallelism the loop needs; the external contract is single-threaded.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .activations import get_activation
 from .dissipativity import dissipativity_penalty
 from .network import Layer, MlpNetwork, load_network, save_network
@@ -454,15 +454,7 @@ class TrainConfig:
                 raise ValueError(f"unknown regularizer {key!r}; known: {known}")
 
     def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "batch": self.batch,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "optimizer": self.optimizer,
-            "regularizers": dict(self.regularizers),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -727,9 +719,7 @@ def save_checkpoint(model: BlockSSM, directory, report: TrainReport | None = Non
     save_network(model.f_net, directory / "f_net.json")
     save_network(model.g_net, directory / "g_net.json")
     if report is not None:
-        with open(directory / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
+        artifacts.write_json(directory / "report.json", report.to_dict())
 
 
 def load_checkpoint(directory):
@@ -744,8 +734,5 @@ def load_checkpoint(directory):
         g_net=load_network(directory / "g_net.json"),
     )
     report_path = directory / "report.json"
-    report = None
-    if report_path.exists():
-        with open(report_path, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
+    report = artifacts.read_json(report_path) if report_path.exists() else None
     return model, report

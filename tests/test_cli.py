@@ -96,6 +96,23 @@ class TestConfigSchema:
         assert config.training.regularizers == {"l1": 1.0}
         assert isinstance(config.training.regularizers["l1"], float)
 
+    @pytest.mark.parametrize("section, message", [
+        ({"optimizer": "rmsprop"}, "unknown optimizer 'rmsprop'; use adam or sgd"),
+        ({"epochs": 0}, "epochs must be positive"),
+        ({"regularizers": {"l3": 1.0}}, "unknown regularizer 'l3'"),
+    ])
+    def test_training_values_checked_at_load(self, section, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict({"training": section})
+
+    def test_training_section_builds_its_train_config(self):
+        config = ExperimentConfig.from_dict(
+            {"training": {"horizon": 8, "optimizer": "sgd",
+                          "regularizers": {"l2": 1}}})
+        run = config.training.train_config
+        assert (run.horizon, run.optimizer, run.regularizers) == (8, "sgd", {"l2": 1.0})
+        assert "train_config" not in config.to_dict()["training"]
+
     def test_parse_rejects_malformed_json(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
             parse_config("{seed: 1}")
@@ -416,6 +433,21 @@ class TestTrainCommand:
         assert summary["best_test_mse"] > 0
         assert summary["best_epoch"] <= 3
         assert (tmp_path / "checkpoint").exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ("training.optimizer=rmsprop", "unknown optimizer 'rmsprop'; use adam or sgd"),
+        ("training.epochs=0", "epochs must be positive"),
+    ])
+    def test_bad_training_value_fails_before_simulation(
+            self, tmp_path, capsys, monkeypatch, override, message):
+        def simulated(*args, **kwargs):
+            raise AssertionError("the plant was simulated before the config was checked")
+
+        monkeypatch.setattr(cli.plants, "benchmark_dataset", simulated)
+        rc = main(["train", "--preset", "cstr-identification",
+                   "--out", str(tmp_path), "--set", override])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestCertifyCommand:

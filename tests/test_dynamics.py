@@ -9,7 +9,6 @@ from neurodissip import linalg
 from neurodissip.dissipativity import GridSpec
 from neurodissip.dynamics import (
     basin_map,
-    classify_attractor,
     depth_spectra,
     rollout,
     write_basin_csv,
@@ -121,12 +120,13 @@ class TestRollout:
 class TestClassify:
     def test_reclassify_converged(self):
         traj = rollout(linear_net(0.5 * np.eye(2)), [1.0, 0.0])
-        assert classify_attractor(traj) == "converged_point"
+        assert traj.classification == "converged_point"
 
     def test_cycle_detection_respects_max_period(self):
-        traj = rollout(linear_net(-np.eye(2)), [1.0, 0.0], steps=50)
-        assert classify_attractor(traj, max_period=1) == "undetermined"
-        assert classify_attractor(traj, max_period=8) == "limit_cycle"
+        net = linear_net(-np.eye(2))
+        short = rollout(net, [1.0, 0.0], steps=50, max_period=1)
+        assert short.classification == "undetermined"
+        assert rollout(net, [1.0, 0.0], steps=50, max_period=8).classification == "limit_cycle"
 
     def test_row_stochastic_relu_reaches_consensus_points(self):
         w = draw_map("perron_frobenius", 2, 1.0, 1.0, seed=3).realize()

@@ -14,9 +14,7 @@ from neurodissip.plants import (
     benchmark_dataset,
     cstr_derivative,
     excitation_signal,
-    from_unit_range,
     integrate,
-    load_dataset,
     make_plant,
     minmax_constants,
     plant_derivative,
@@ -341,7 +339,7 @@ class TestDatasetProtocol:
         z = ds.normalized_states()
         assert z.min() >= -1.0 - 1e-12 and z.max() <= 1.0 + 1e-12
         mins, maxs = minmax_constants(ds.states)
-        back = from_unit_range(z, mins, maxs)
+        back = (z + 1.0) * (maxs - mins) / 2.0 + mins
         np.testing.assert_allclose(back, ds.states, atol=1e-9)
 
     def test_constant_channel_normalizes_to_zero(self):
@@ -373,9 +371,11 @@ class TestDatasetProtocol:
         assert doc["splits"] == [[0, 100], [100, 200], [200, 300]]
         assert "normalization" in doc
 
-        back = load_dataset(csv_path, sidecar_path)
-        np.testing.assert_allclose(back.states, ds.states, rtol=0, atol=0)
-        np.testing.assert_allclose(back.inputs, ds.inputs, rtol=0, atol=0)
-        assert back.splits == ds.splits
-        assert back.plant.parameters == ds.plant.parameters
-        assert back.seed == 2
+        data = np.array([[float(v) for v in row] for row in rows[1:]])
+        np.testing.assert_array_equal(data[:, 0], np.arange(300) * ds.dt)
+        np.testing.assert_array_equal(data[:, 1:3], ds.states)
+        np.testing.assert_array_equal(data[:, 3:], ds.inputs)
+        assert tuple(tuple(span) for span in doc["splits"]) == ds.splits
+        assert doc["plant"]["parameters"] == ds.plant.parameters
+        assert doc["dt"] == ds.dt
+        assert doc["seed"] == 2

@@ -1,0 +1,132 @@
+"""Check that two source trees write the same artifacts.
+
+    python3 tools/artifact_diff.py PARENT_ROOT CHANGE_ROOT
+
+Runs one fixed list of ``neurodissip`` commands against each root, in one
+subprocess per root that imports ``neurodissip.cli`` from that root's
+``src/`` and calls ``cli.main`` once per command.  Every command writes
+into its own directory, together with its exit code, stdout and stderr.
+The two trees are then compared file by file, with the ``created``
+timestamp of the JSON metadata masked.  Prints ``identical N of M`` and
+every differing path, and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PRESETS_2D = (
+    "origin-attractor", "shifted-equilibrium", "contractive-relu",
+    "contractive-tanh", "regional-selu", "mixed-sigmoid", "depth-damping",
+    "depth-near-unit", "depth-growth", "deep-contraction",
+    "quasiperiodic-orbit", "deep-shifted-equilibrium", "consensus-line",
+    "period-two", "period-five", "divergent-softplus",
+)
+MAP_KINDS = ("unstructured", "perron_frobenius", "spectral_svd",
+             "gershgorin_real", "gershgorin_complex")
+
+
+def commands() -> list:
+    """(directory name, argv without --out) of every compared command."""
+    cmds = []
+    for preset in PRESETS_2D:
+        for command in ("grid", "certify", "spectra", "pwa", "rollout", "basin"):
+            cmds.append((f"{command}-{preset}", [command, "--preset", preset]))
+    for width in (3, 8, 16):
+        cmds.append((f"certify-width{width}",
+                     ["certify", "--set", f"network.width={width}"]))
+    for kind in MAP_KINDS:
+        for width in (2, 8):
+            cmds.append((f"gen-weights-{kind}-{width}",
+                         ["gen-weights", "--set", f"map.kind={kind}",
+                          "--set", f"network.width={width}"]))
+    for preset in ("cstr-identification", "two-tank-identification"):
+        cmds.append((f"simulate-{preset}", ["simulate", "--preset", preset]))
+    cmds.append(("train-cstr-identification",
+                 ["train", "--preset", "cstr-identification",
+                  "--set", "plant.samples=900", "--set", "training.epochs=3"]))
+    cmds.append(("train-two-tank-identification",
+                 ["train", "--preset", "two-tank-identification",
+                  "--set", "training.epochs=2"]))
+    cmds.append(("sweep", ["sweep", "--threads", "2"]))
+    return cmds
+
+
+# Runs in the subprocess: argv is (root, output directory), stdin the
+# command list as JSON.
+DRIVER = r"""
+import contextlib, io, json, os, sys
+root, out = sys.argv[1], sys.argv[2]
+sys.path.insert(0, os.path.join(root, "src"))
+from neurodissip import cli
+for name, argv in json.load(sys.stdin):
+    target = os.path.join(out, name)
+    os.makedirs(target)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv + ["--out", target])
+        except SystemExit as exc:
+            code = exc.code
+    for stream, text in (("exit", f"{code}\n"), ("stdout", stdout.getvalue()),
+                         ("stderr", stderr.getvalue())):
+        with open(os.path.join(target, "." + stream), "w") as fh:
+            fh.write(text)
+"""
+
+_CREATED = re.compile(rb'"created": "[^"]*"')
+
+
+def run_root(root: Path, out: Path) -> None:
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    subprocess.run([sys.executable, "-c", DRIVER, str(root), str(out)],
+                   input=json.dumps(commands()), text=True, env=env,
+                   cwd=out, check=True)
+
+
+def masked(path: Path) -> bytes:
+    return _CREATED.sub(b'"created": "*"', path.read_bytes())
+
+
+def compare(a: Path, b: Path) -> tuple:
+    """(identical count, differing relative paths) over both trees."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    differing = sorted(
+        str(rel) for rel in files_a | files_b
+        if rel not in files_a or rel not in files_b
+        or masked(a / rel) != masked(b / rel)
+    )
+    return len(files_a | files_b) - len(differing), differing
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = []
+        for label, root in zip(("parent", "change"), args):
+            out = Path(tmp) / label
+            out.mkdir()
+            run_root(Path(root).resolve(), out)
+            outs.append(out)
+        same, differing = compare(*outs)
+    print(f"identical {same} of {same + len(differing)}")
+    for rel in differing:
+        print(rel)
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
