@@ -3,7 +3,9 @@
 Numbers are ``repr`` of the float64, which reads back to the same double.
 A CSV table is a header plus one iterable per column, zipped into rows as
 the file is written, so ``numbers`` formats a value only when its row is.
-JSON documents are indented by two spaces and end with a newline.
+JSON documents are indented by two spaces and end with a newline; they
+are ``json.dumps(doc, indent=2)``, byte for byte, and may also hold float,
+int and bool ndarrays, written as nested lists with NaN as ``null``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,15 @@ def numbers(values):
     return map(repr, np.asarray(values, dtype=float).ravel().tolist())
 
 
+def repeated_numbers(values):
+    """``numbers`` for a column with few distinct values: each distinct bit
+    pattern is formatted once."""
+    values = np.asarray(values, dtype=float).ravel()
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return map(list(map(repr, bits.view(float).tolist())).__getitem__,
+               inverse.tolist())
+
+
 def flags(values):
     """Lazy column of ``true``/``false`` fields."""
     return map({True: "true", False: "false"}.__getitem__,
@@ -38,9 +49,16 @@ def blank(mask, column, fill: str = ""):
     return (fill if m else v for m, v in zip(mask.tolist(), column))
 
 
-def json_lists(rows):
-    """Lazy column of each row of a 2-D array as an inline JSON list."""
-    return map(json.dumps, np.asarray(rows, dtype=float).tolist())
+def json_pairs(rows):
+    """Lazy column of the rows of an (n, 2) array as inline JSON lists."""
+    rows = np.asarray(rows, dtype=float)
+    # What json.dumps writes for a finite pair, without its encoder.
+    pairs = map("[{!r}, {!r}]".format, *rows.T.tolist())
+    finite = np.isfinite(rows).all(axis=1)
+    if finite.all():
+        return pairs
+    return (pair if ok else json.dumps(row)
+            for pair, ok, row in zip(pairs, finite.tolist(), rows.tolist()))
 
 
 def write_csv(path, header, columns, lineterminator: str = "\r\n") -> None:
@@ -53,8 +71,83 @@ def write_csv(path, header, columns, lineterminator: str = "\r\n") -> None:
 
 def write_json(path, doc, sort_keys: bool = False) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=sort_keys)
+        fh.write(_json(doc, sort_keys, "\n"))
         fh.write("\n")
+
+
+def _json(value, sort_keys: bool, newline: str) -> str:
+    """``json.dumps(value, indent=2)`` at the indent ``newline`` ends with.
+
+    The indented mode of ``json.dumps`` runs the pure-Python encoder, one
+    generator step per value; ndarrays are formatted here a whole array at
+    a time instead.
+    """
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_NON_FINITE.get(text, text)
+    if isinstance(value, np.ndarray):
+        return _json_array(value, newline)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(
+            [_json(v, sort_keys, inner) for v in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = sorted(value.items()) if sort_keys else value.items()
+        return "{" + inner + ("," + inner).join(
+            [_json_key(k) + ": " + _json(v, sort_keys, inner) for k, v in items]
+        ) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_json_string = json.encoder.encode_basestring_ascii
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_ARRAY_NON_FINITE = dict(_JSON_NON_FINITE, nan="null")
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _json_string(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _json(key, False, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _json_array(arr: np.ndarray, newline: str) -> str:
+    """A float, int or bool ndarray as its ``tolist``, with NaN as null."""
+    if arr.dtype.kind == "f":
+        fields = list(map(repr, arr.astype(float).ravel().tolist()))
+        if not np.isfinite(arr).all():
+            fields = [_JSON_ARRAY_NON_FINITE.get(f, f) for f in fields]
+    elif arr.dtype.kind == "b":
+        fields = [_JSON_CONSTANTS[v] for v in arr.ravel().tolist()]
+    elif arr.dtype.kind in "iu":
+        fields = list(map(repr, arr.ravel().tolist()))
+    else:
+        raise TypeError(f"cannot write a {arr.dtype} array as JSON")
+    # Wrap the innermost lists first, then each enclosing level in turn.
+    for depth in range(arr.ndim - 1, -1, -1):
+        size = arr.shape[depth]
+        if size == 0:
+            fields = ["[]"] * int(np.prod(arr.shape[:depth]))
+            continue
+        inner = newline + "  " * (depth + 1)
+        close = newline + "  " * depth + "]"
+        sep = "," + inner
+        fields = ["[" + inner + sep.join(fields[i : i + size]) + close
+                  for i in range(0, len(fields), size)]
+    return fields[0]
 
 
 def read_json(path):
@@ -83,11 +176,3 @@ def plain(value):
     if isinstance(value, (list, tuple)):
         return [plain(v) for v in value]
     return value
-
-
-def nan_to_none(arr):
-    """Nested lists of a float array with NaN as None (JSON ``null``)."""
-    arr = np.asarray(arr, dtype=float)
-    out = arr.astype(object)
-    out[np.isnan(arr)] = None
-    return out.tolist()

@@ -645,9 +645,10 @@ def cmd_grid(args) -> int:
         "worst_cell": analysis.worst_cell(),
         "metadata": _metadata("grid", config),
     })
+    errors = f", {summary['errors']} error cells" if summary["errors"] else ""
     print(f"grid: {summary['dissipative']}/{summary['cells']} dissipative cells "
           f"(fraction {summary['fraction_dissipative']:.4f}, "
-          f"max a_norm {summary['max_a_norm']:.4f})")
+          f"max a_norm {summary['max_a_norm']:.4f}){errors}")
     return 0
 
 

@@ -425,8 +425,8 @@ def write_grid_csv(analysis: GridAnalysis, path) -> None:
         "x1", "x2", "a_norm", "b_norm", "dissipative", "contractive_affine",
         "max_eig_re", "max_eig_im", "eig_moduli", "error",
     ), (
-        artifacts.numbers(centers[:, 0]),
-        artifacts.numbers(centers[:, 1]),
+        artifacts.repeated_numbers(centers[:, 0]),
+        artifacts.repeated_numbers(centers[:, 1]),
         artifacts.blank(failed, artifacts.numbers(analysis.a_norm)),
         artifacts.blank(failed, artifacts.numbers(analysis.b_norm)),
         artifacts.flags(analysis.dissipative),
@@ -434,7 +434,7 @@ def write_grid_csv(analysis: GridAnalysis, path) -> None:
                         artifacts.flags(analysis.contractive == 1)),
         artifacts.blank(failed, artifacts.numbers(eig.real)),
         artifacts.blank(failed, artifacts.numbers(eig.imag)),
-        artifacts.blank(failed, artifacts.json_lists(
+        artifacts.blank(failed, artifacts.json_pairs(
             np.abs(analysis.eigenvalues).reshape(r * r, -1)), "[]"),
         (analysis.errors.get(divmod(k, r), "") for k in range(r * r)),
     ), lineterminator="\n")
@@ -448,12 +448,12 @@ def write_grid_json(analysis: GridAnalysis, path) -> None:
         "y_range": list(analysis.spec.y_range),
         "resolution": analysis.resolution,
         "summary": analysis.summary(),
-        "a_norm": artifacts.nan_to_none(analysis.a_norm),
-        "b_norm": artifacts.nan_to_none(analysis.b_norm),
-        "dissipative": analysis.dissipative.tolist(),
-        "contractive_affine": analysis.contractive.tolist(),
-        "eigenvalues_re": artifacts.nan_to_none(analysis.eigenvalues.real),
-        "eigenvalues_im": artifacts.nan_to_none(analysis.eigenvalues.imag),
+        "a_norm": analysis.a_norm,
+        "b_norm": analysis.b_norm,
+        "dissipative": analysis.dissipative,
+        "contractive_affine": analysis.contractive,
+        "eigenvalues_re": analysis.eigenvalues.real,
+        "eigenvalues_im": analysis.eigenvalues.imag,
         "errors": [
             {"i": i, "j": j, "message": msg}
             for (i, j), msg in sorted(analysis.errors.items())

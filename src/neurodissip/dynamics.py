@@ -197,74 +197,83 @@ def rollout(
     )
 
 
-class _LimitClusters:
-    """Online clustering of limit points by a fixed merge radius."""
+def _cluster(points: np.ndarray, tol: float):
+    """Cluster finite points by a fixed merge radius, in point order.
 
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.points: list[np.ndarray] = []
-
-    def assign(self, point: np.ndarray) -> int:
-        if self.points:
-            reps = np.asarray(self.points)
-            dists = np.sqrt(np.sum((reps - point) ** 2, axis=1))
-            hit = int(np.argmin(dists))
-            if dists[hit] <= self.tol:
-                return hit
-        self.points.append(np.asarray(point, dtype=float).copy())
-        return len(self.points) - 1
-
-    def as_array(self, dim: int) -> np.ndarray:
-        if not self.points:
-            return np.zeros((0, dim))
-        return np.asarray(self.points)
+    Point j joins the nearest representative drawn from the points before
+    it (the earliest one on a tie) when that lies within tol, and becomes
+    a representative itself otherwise.  One pass per representative
+    updates the later points' nearest distance, so the cost is
+    points x representatives inside numpy.  Returns (ids, reps).
+    """
+    n, dim = points.shape
+    best = np.full(n, np.inf)
+    ids = np.zeros(n, dtype=np.int64)
+    reps = []
+    j = 0
+    while j < n:
+        rep = points[j]
+        ids[j] = len(reps)
+        reps.append(rep)
+        dists = np.sqrt(np.sum((rep - points[j + 1 :]) ** 2, axis=1))
+        # Strict <: an equally near later representative never wins.
+        closer = dists < best[j + 1 :]
+        best[j + 1 :][closer] = dists[closer]
+        ids[j + 1 :][closer] = len(reps) - 1
+        far = best[j + 1 :] > tol
+        if not far.any():
+            break
+        j += 1 + int(np.argmax(far))
+    return ids, np.array(reps).reshape(-1, dim)
 
 
 def _rollout_tails(net: MlpNetwork, starts: np.ndarray, steps: int, window: int):
     """Batched rollout keeping a ring buffer of each trajectory's tail.
 
-    Returns (tails, halts, counts) where tails[k] is the (m_k, dim) ordered
-    tail of trajectory k, halts[k] a halt label, and counts[k] the number
-    of states produced (initial state included).
+    Every running trajectory has made the same number of steps, so state t
+    of each goes to ring slot (t + shift) % window, with the shift chosen
+    so that a trajectory reaching the horizon ends with its last ``window``
+    states in slot order.  Rows are dropped from the batch only on a step
+    where some trajectory halts.  Returns (ring, final, halts): ring[:, k]
+    is the ordered tail of trajectory k if it ran to the horizon, final[k]
+    its last state if it halted early, and halts[k] its halt label.
     """
     n_traj, dim = starts.shape
+    shift = (window - steps - 1) % window
     buf = np.empty((window, n_traj, dim))
-    buf[0] = starts
-    counts = np.ones(n_traj, dtype=np.int64)
+    buf[shift] = starts
+    final = np.empty_like(starts)
     halts = np.full(n_traj, _HALT_HORIZON, dtype=object)
+    idx = np.arange(n_traj)
+    cur = np.array(starts, dtype=float)
     consec = np.zeros(n_traj, dtype=np.int64)
-    active = np.ones(n_traj, dtype=bool)
-    x = starts.copy()
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
-                break
-            cur = x[idx]
+        for t in range(1, steps + 1):
             nxt, _ = net.forward_trace(cur)
             norms = np.sqrt(np.sum(nxt * nxt, axis=1))
             steps_len = np.sqrt(np.sum((nxt - cur) ** 2, axis=1))
-
-            buf[counts[idx] % window, idx] = nxt
-            counts[idx] += 1
-            x[idx] = nxt
+            if idx.size == n_traj:
+                buf[(t + shift) % window] = nxt
+            else:
+                buf[(t + shift) % window, idx] = nxt
 
             diverged = ~np.isfinite(norms) | (norms > DIVERGENCE_NORM)
-            small = steps_len < CONVERGENCE_TOL
-            consec[idx] = np.where(small, consec[idx] + 1, 0)
-            converged = (consec[idx] >= CONVERGENCE_RUN) & ~diverged
-
+            consec = np.where(steps_len < CONVERGENCE_TOL, consec + 1, 0)
+            converged = (consec >= CONVERGENCE_RUN) & ~diverged
+            halted = diverged | converged
+            if not halted.any():
+                cur = nxt
+                continue
+            final[idx[halted]] = nxt[halted]
             halts[idx[diverged]] = _HALT_DIVERGED
             halts[idx[converged]] = _HALT_CONVERGED
-            active[idx] = ~(diverged | converged)
+            keep = ~halted
+            idx, cur, consec = idx[keep], nxt[keep], consec[keep]
+            if idx.size == 0:
+                break
 
-    tails = []
-    for k in range(n_traj):
-        m = int(min(counts[k], window))
-        order = (counts[k] - m + np.arange(m)) % window
-        tails.append(buf[order, k])
-    return tails, halts, counts
+    return buf, final, halts
 
 
 def basin_map(
@@ -286,31 +295,42 @@ def basin_map(
     grid = grid or GridSpec(resolution=40)
     starts = grid.cell_centers()
     window = min(steps + 1, 2 * max_period + 1)
-    tails, halts, _ = _rollout_tails(net, starts, steps, window)
+    ring, final, halts = _rollout_tails(net, starts, steps, window)
+
+    n = starts.shape[0]
+    periods = np.zeros(n, dtype=np.int64)
+    cycles = {}
+    for k in np.flatnonzero(halts == _HALT_HORIZON):
+        hit = _detect_cycle(ring[:, k], cycle_tol, max_period)
+        if hit is not None:
+            periods[k], cycles[k] = hit
+    converged = halts == _HALT_CONVERGED
+    classes = np.full(n, CLASS_UNDETERMINED, dtype="U16")
+    classes[converged] = CLASS_CONVERGED
+    classes[halts == _HALT_DIVERGED] = CLASS_DIVERGED
+    classes[periods > 0] = CLASS_CYCLE
+
+    # The limit points in cell order: a converged cell's final state, then
+    # every state of a cell's cycle, labelled by its smallest state.
+    sizes = np.where(converged, 1, periods)
+    first = np.cumsum(sizes) - sizes
+    points = np.empty((int(sizes.sum()), 2))
+    points[first[converged]] = final[converged]
+    labels = first.copy()
+    for k, cycle in cycles.items():
+        points[first[k] : first[k] + periods[k]] = cycle
+        labels[k] += int(np.lexsort(cycle.T[::-1])[0])
+    ids, reps = _cluster(points, cluster_tol)
+    limit_ids = np.full(n, -1, dtype=np.int64)
+    limit_ids[sizes > 0] = ids[labels[sizes > 0]]
 
     res = grid.resolution
-    classes = np.full(starts.shape[0], CLASS_UNDETERMINED, dtype="U16")
-    limit_ids = np.full(starts.shape[0], -1, dtype=np.int64)
-    periods = np.zeros(starts.shape[0], dtype=np.int64)
-    clusters = _LimitClusters(cluster_tol)
-
-    for k in range(starts.shape[0]):
-        cls, limit, period, _ = _classify(tails[k], halts[k], cycle_tol, max_period)
-        classes[k] = cls
-        if cls == CLASS_CONVERGED:
-            limit_ids[k] = clusters.assign(limit)
-        elif cls == CLASS_CYCLE:
-            ids = [clusters.assign(state) for state in limit]
-            canonical = int(np.lexsort(limit.T[::-1])[0])
-            limit_ids[k] = ids[canonical]
-            periods[k] = period
-
     return BasinMap(
         spec=grid,
         classifications=classes.reshape(res, res),
         limit_ids=limit_ids.reshape(res, res),
         periods=periods.reshape(res, res),
-        limit_points=clusters.as_array(2),
+        limit_points=reps,
     )
 
 
@@ -341,7 +361,9 @@ def depth_spectra(
         if depth < 1:
             raise ValueError("depths must be at least 1")
         net = MlpNetwork(layers=tuple(layer for _ in range(depth)))
-        a = extract_pwa_batch(net, anchors, mode=mode)[0]
+        # An overflowing depth leaves non-finite A(x) and so nan moduli.
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = extract_pwa_batch(net, anchors, mode=mode)[0]
         eigs = linalg._eigenvalues_batch(a)
         moduli = np.abs(eigs).ravel()
         hi = float(moduli.max()) if moduli.size and moduli.max() > 0 else 1.0
@@ -366,8 +388,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 def write_basin_csv(basin: BasinMap, path) -> None:
     centers = basin.spec.cell_centers()
     artifacts.write_csv(path, ("x1", "x2", "class", "limit_id"), (
-        artifacts.numbers(centers[:, 0]),
-        artifacts.numbers(centers[:, 1]),
+        artifacts.repeated_numbers(centers[:, 0]),
+        artifacts.repeated_numbers(centers[:, 1]),
         basin.classifications.ravel().tolist(),
         basin.limit_ids.ravel().tolist(),
     ))

@@ -13,6 +13,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from neurodissip import artifacts, cli
 from neurodissip.dissipativity import (
@@ -492,10 +494,27 @@ class TestFormats:
         column = artifacts.numbers(np.array([[1e-300, np.nan], [-np.inf, 2.0]]))
         assert list(column) == ["1e-300", "nan", "-inf", "2.0"]
 
-    def test_nan_to_none_matches_reference(self):
+    def test_nan_to_none_matches_reference(self, tmp_path):
+        # write_json writes a float array as its nested lists, NaN as null.
         arr = np.array([[0.5, np.nan], [np.inf, -1.0]])
-        assert artifacts.nan_to_none(arr) == reference_nan_to_none(arr)
-        assert artifacts.nan_to_none(arr)[0][1] is None
+        artifacts.write_json(tmp_path / "doc.json", {"a": arr})
+        text = (tmp_path / "doc.json").read_text()
+        assert text == json.dumps({"a": reference_nan_to_none(arr)}, indent=2) + "\n"
+        assert artifacts.read_json(tmp_path / "doc.json")["a"][0][1] is None
+
+    def test_repeated_numbers_keep_each_bit_pattern(self):
+        values = np.array([0.0, -0.0, np.nan, 0.1, -np.inf, 0.0, np.nan, -0.0,
+                           5e-324, 0.1])
+        values = np.concatenate([values, values[::-1]])
+        assert (list(artifacts.repeated_numbers(values))
+                == list(artifacts.numbers(values)))
+
+    def test_json_pairs_match_json_dumps(self):
+        rows = np.array([[0.1, 2.0], [np.nan, 1.0], [np.inf, -0.0],
+                         [5e-324, 1e16], [-np.inf, np.nan]])
+        expected = [json.dumps(row) for row in rows.tolist()]
+        assert list(artifacts.json_pairs(rows)) == expected
+        assert list(artifacts.json_pairs(rows[[0, 3]])) == expected[0:4:3]
 
     def test_read_json_reads_what_write_json_wrote(self, tmp_path):
         doc = {"b": [1.0, None], "a": {"x": 0.1}}
@@ -509,3 +528,85 @@ class TestFormats:
                              sort_keys=sort_keys)
         text = (tmp_path / "doc.json").read_text()
         assert (text.index('"a"') < text.index('"b"')) == sort_keys
+
+
+# --- write_json against json.dumps(indent=2) ----------------------------------
+
+SPECIAL_FLOATS = (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+                  1e16, 1e-5, 0.1)
+json_scalars = (
+    st.floats()
+    | st.sampled_from(SPECIAL_FLOATS)
+    | st.sampled_from(SPECIAL_FLOATS).map(np.float64)
+    | st.floats(allow_nan=False).map(np.float64)
+    | st.booleans()
+    | st.integers()
+    | st.none()
+    | st.text()
+    | st.sampled_from(['"quoted"', "back\\slash", "caf\u00e9 \u2013 \U0001d70e",
+                       "tab\tnew\nline", ""])
+)
+json_docs = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=24,
+)
+NESTED = {"z": [{"a": ({"b": [[], {}, ()]},), "": -0.0}], "y": float("nan")}
+
+
+class TestWriteJson:
+    @given(doc=json_docs)
+    @example(doc=NESTED)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @pytest.mark.parametrize("sort_keys", [False, True])
+    def test_matches_json_dumps(self, tmp_path, doc, sort_keys):
+        path = tmp_path / "doc.json"
+        artifacts.write_json(path, doc, sort_keys=sort_keys)
+        expected = json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_non_string_keys_match_json_dumps(self, tmp_path):
+        doc = {1: "a", 2.5: [1], True: None, None: {}, float("inf"): 0, "k": 1}
+        artifacts.write_json(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("arr", [
+        np.array([[0.5, np.nan], [np.inf, -np.inf]]),
+        np.full((3, 4), np.nan),
+        np.array([-0.0, 5e-324, 1e16, 1e-5]),
+        np.zeros(0),
+        np.zeros((3, 0)),
+        np.zeros((0, 3)),
+        np.random.default_rng(0).standard_normal((120, 120, 2)),
+        np.array(np.nan),
+        np.float32([0.1, np.nan]),
+    ], ids=["mixed", "all-nan", "special", "empty", "empty-rows",
+            "no-rows", "grid", "0-d", "float32"])
+    def test_float_arrays_match_nan_to_none(self, tmp_path, arr):
+        doc = {"a": [arr, {"b": arr}], "c": 1}
+        old = {"a": [reference_nan_to_none(np.asarray(arr, dtype=float)),
+                     {"b": reference_nan_to_none(np.asarray(arr, dtype=float))}],
+               "c": 1}
+        artifacts.write_json(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_text() == json.dumps(old, indent=2) + "\n"
+
+    @pytest.mark.parametrize("arr", [
+        np.array([[True, False], [False, False]]),
+        np.zeros((2, 0), dtype=bool),
+        np.array([[1, -1, 0]], dtype=np.int8),
+        np.arange(24, dtype=np.int64).reshape(2, 3, 4),
+        np.array(7),
+    ])
+    def test_bool_and_int_arrays_match_tolist(self, tmp_path, arr):
+        artifacts.write_json(tmp_path / "doc.json", {"a": arr}, sort_keys=True)
+        expected = json.dumps({"a": arr.tolist()}, indent=2, sort_keys=True)
+        assert (tmp_path / "doc.json").read_text() == expected + "\n"
+
+    def test_other_objects_are_refused(self, tmp_path):
+        with pytest.raises(TypeError):
+            artifacts.write_json(tmp_path / "doc.json", {"a": np.array(["x"])})
+        with pytest.raises(TypeError):
+            artifacts.write_json(tmp_path / "doc.json", {"a": {1, 2}})

@@ -346,6 +346,18 @@ class TestGridCommand:
         assert summary["summary"]["fraction_dissipative"] == 1.0
         assert (tmp_path / "grid.json").exists()
 
+    def test_stdout_counts_error_cells(self, tmp_path, capsys):
+        rc = main(["grid", "--preset", "depth-growth", "--out", str(tmp_path / "deep"),
+                   "--set", "network.depth=3000", "--set", "analysis.resolution=10"])
+        assert rc == 0
+        errors = read_json(tmp_path / "deep" / "grid_summary.json")["summary"]["errors"]
+        assert 0 < errors < 100
+        assert capsys.readouterr().out.endswith(f"), {errors} error cells\n")
+        rc = main(["grid", "--preset", "depth-growth", "--out", str(tmp_path / "shallow"),
+                   "--set", "analysis.resolution=10"])
+        assert rc == 0
+        assert capsys.readouterr().out.endswith(")\n")
+
     def test_checkpoint_replaces_drawn_network(self, tmp_path):
         from neurodissip import training
         from neurodissip.network import Layer, MlpNetwork
@@ -381,6 +393,18 @@ class TestSpectraCommand:
         assert medians["4"] < medians["1"]
         moduli = csv_rows(tmp_path / "eigenvalues.csv")
         assert {row["depth"] for row in moduli} == {"1", "4"}
+
+
+    def test_overflowing_depth_warns_nothing(self, tmp_path, capsys):
+        # The suite turns a RuntimeWarning raised in neurodissip into an
+        # error, which main would report as a failed command.
+        rc = main(["spectra", "--preset", "depth-growth", "--out", str(tmp_path),
+                   "--set", "analysis.resolution=10",
+                   "--set", "analysis.depths=[1, 3000]"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        medians = read_json(tmp_path / "spectra_summary.json")["median_modulus"]
+        assert medians["3000"] == "nan" and medians["1"] > 1.0
 
 
 class TestRolloutCommand:

@@ -1,11 +1,12 @@
 """Tests for rollouts, attractor classification, and depth spectra."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
 
-from neurodissip import linalg
+from neurodissip import cli, dynamics, linalg
 from neurodissip.dissipativity import GridSpec
 from neurodissip.dynamics import (
     basin_map,
@@ -198,6 +199,171 @@ class TestBasin:
     def test_rejects_higher_dimensions(self):
         with pytest.raises(ValueError, match="2-D"):
             basin_map(linear_net(0.5 * np.eye(3)))
+
+
+# --- the per-trajectory basin loop, verbatim -----------------------------------
+
+def reference_rollout_tails(net, starts, steps, window):
+    n_traj, dim = starts.shape
+    buf = np.empty((window, n_traj, dim))
+    buf[0] = starts
+    counts = np.ones(n_traj, dtype=np.int64)
+    halts = np.full(n_traj, dynamics._HALT_HORIZON, dtype=object)
+    consec = np.zeros(n_traj, dtype=np.int64)
+    active = np.ones(n_traj, dtype=bool)
+    x = starts.copy()
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            idx = np.flatnonzero(active)
+            if idx.size == 0:
+                break
+            cur = x[idx]
+            nxt, _ = net.forward_trace(cur)
+            norms = np.sqrt(np.sum(nxt * nxt, axis=1))
+            steps_len = np.sqrt(np.sum((nxt - cur) ** 2, axis=1))
+
+            buf[counts[idx] % window, idx] = nxt
+            counts[idx] += 1
+            x[idx] = nxt
+
+            diverged = ~np.isfinite(norms) | (norms > dynamics.DIVERGENCE_NORM)
+            small = steps_len < dynamics.CONVERGENCE_TOL
+            consec[idx] = np.where(small, consec[idx] + 1, 0)
+            converged = (consec[idx] >= dynamics.CONVERGENCE_RUN) & ~diverged
+
+            halts[idx[diverged]] = dynamics._HALT_DIVERGED
+            halts[idx[converged]] = dynamics._HALT_CONVERGED
+            active[idx] = ~(diverged | converged)
+
+    tails = []
+    for k in range(n_traj):
+        m = int(min(counts[k], window))
+        order = (counts[k] - m + np.arange(m)) % window
+        tails.append(buf[order, k])
+    return tails, halts, counts
+
+
+class ReferenceLimitClusters:
+    def __init__(self, tol):
+        self.tol = tol
+        self.points = []
+
+    def assign(self, point):
+        if self.points:
+            reps = np.asarray(self.points)
+            dists = np.sqrt(np.sum((reps - point) ** 2, axis=1))
+            hit = int(np.argmin(dists))
+            if dists[hit] <= self.tol:
+                return hit
+        self.points.append(np.asarray(point, dtype=float).copy())
+        return len(self.points) - 1
+
+    def as_array(self, dim):
+        if not self.points:
+            return np.zeros((0, dim))
+        return np.asarray(self.points)
+
+
+def reference_basin_map(net, grid, steps):
+    cycle_tol = dynamics.DEFAULT_CYCLE_TOL
+    max_period = dynamics.DEFAULT_MAX_PERIOD
+    starts = grid.cell_centers()
+    window = min(steps + 1, 2 * max_period + 1)
+    tails, halts, _ = reference_rollout_tails(net, starts, steps, window)
+
+    res = grid.resolution
+    classes = np.full(starts.shape[0], "undetermined", dtype="U16")
+    limit_ids = np.full(starts.shape[0], -1, dtype=np.int64)
+    periods = np.zeros(starts.shape[0], dtype=np.int64)
+    clusters = ReferenceLimitClusters(dynamics.DEFAULT_CLUSTER_TOL)
+
+    for k in range(starts.shape[0]):
+        cls, limit, period, _ = dynamics._classify(tails[k], halts[k],
+                                                   cycle_tol, max_period)
+        classes[k] = cls
+        if cls == "converged_point":
+            limit_ids[k] = clusters.assign(limit)
+        elif cls == "limit_cycle":
+            ids = [clusters.assign(state) for state in limit]
+            canonical = int(np.lexsort(limit.T[::-1])[0])
+            limit_ids[k] = ids[canonical]
+            periods[k] = period
+
+    return (classes.reshape(res, res), limit_ids.reshape(res, res),
+            periods.reshape(res, res), clusters.as_array(2))
+
+
+MIXED_HALTS = ("network.activation=selu", "map.lambda_min=0.99",
+               "map.lambda_max=1.10", "analysis.resolution=40")
+
+
+def basin_config(preset, *overrides):
+    data = json.loads(json.dumps(cli.PRESETS[preset])) if preset else {}
+    for assignment in overrides:
+        cli.apply_override(data, assignment)
+    return cli.ExperimentConfig.from_dict(data)
+
+
+class TestBasinBitForBit:
+    """basin_map against the per-trajectory loop it replaced."""
+
+    @pytest.mark.parametrize("preset, overrides, classes, clusters", [
+        ("period-five", (), {"limit_cycle": 1600}, 5),
+        ("period-two", (), {"limit_cycle": 1600}, 2),
+        ("shifted-equilibrium", (), {"converged_point": 14400}, 1),
+        ("quasiperiodic-orbit", (), {"undetermined": 1600}, 0),
+        ("consensus-line", (), {"converged_point": 1600}, 925),
+        ("divergent-softplus", (), {"diverged": 1600}, 0),
+        (None, MIXED_HALTS, {"converged_point": 442, "diverged": 1158}, 1),
+        ("period-five", ("analysis.horizon=1",), {"undetermined": 1600}, 0),
+        ("period-two", ("analysis.horizon=3",), {"undetermined": 1600}, 0),
+    ])
+    def test_matches_reference(self, preset, overrides, classes, clusters):
+        config = basin_config(preset, *overrides)
+        basin = self.same_as_reference(cli.build_network(config),
+                                       config.analysis.grid(), config.analysis.horizon)
+        assert basin.summary()["classes"] == classes
+        assert basin.summary()["limit_clusters"] == clusters
+
+    @pytest.mark.parametrize("diagonal, classes", [
+        ((-1.0, 0.5), {"converged_point": 9, "limit_cycle": 72}),
+        ((-1.0, 1.5), {"converged_point": 1, "limit_cycle": 8, "diverged": 72}),
+    ])
+    def test_halts_beside_horizon_runs(self, diagonal, classes):
+        # On an odd grid the column x1 = 0 converges while every other
+        # cell keeps flipping sign: early halts next to horizon runs whose
+        # ring buffer has wrapped.  (-1, 1.5) adds divergence off x2 = 0.
+        basin = self.same_as_reference(linear_net(np.diag(diagonal)),
+                                       GridSpec(resolution=9), dynamics.DEFAULT_HORIZON)
+        assert basin.summary()["classes"] == classes
+
+    @staticmethod
+    def same_as_reference(net, grid, steps):
+        basin = basin_map(net, grid, steps=steps)
+        classes, limit_ids, periods, points = reference_basin_map(net, grid, steps)
+        np.testing.assert_array_equal(basin.classifications, classes)
+        np.testing.assert_array_equal(basin.limit_ids, limit_ids)
+        np.testing.assert_array_equal(basin.periods, periods)
+        assert basin.limit_points.shape == points.shape
+        assert basin.limit_points.tobytes() == points.tobytes()
+        return basin
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_clusters_match_online_assignment_on_ties(self, seed):
+        # Lattice points 2**-15 apart, within a few merge radii of each
+        # other: many points are exactly as far from two representatives.
+        rng = np.random.default_rng(seed)
+        points = rng.integers(-12, 13, size=(400, 2)) * 2.0**-15
+        reference = ReferenceLimitClusters(dynamics.DEFAULT_CLUSTER_TOL)
+        expected = [reference.assign(p) for p in points]
+        ids, reps = dynamics._cluster(points, dynamics.DEFAULT_CLUSTER_TOL)
+        assert ids.tolist() == expected
+        assert reps.tobytes() == reference.as_array(2).tobytes()
+
+    def test_no_points_no_clusters(self):
+        ids, reps = dynamics._cluster(np.zeros((0, 2)), 1e-4)
+        assert ids.shape == (0,) and reps.shape == (0, 2)
 
 
 class TestDepthSpectra:

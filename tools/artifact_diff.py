@@ -38,6 +38,14 @@ def commands() -> list:
     for preset in PRESETS_2D:
         for command in ("grid", "certify", "spectra", "pwa", "rollout", "basin"):
             cmds.append((f"{command}-{preset}", [command, "--preset", preset]))
+    # An error-cell grid (3568 of 3600 cells) and a basin whose trajectories
+    # halt both ways (442 converged, 1158 diverged).
+    cmds.append(("grid-depth-growth-3000",
+                 ["grid", "--preset", "depth-growth", "--set", "network.depth=3000"]))
+    cmds.append(("basin-mixed-halts",
+                 ["basin", "--set", "network.activation=selu",
+                  "--set", "map.lambda_min=0.99", "--set", "map.lambda_max=1.10",
+                  "--set", "analysis.resolution=40"]))
     for width in (3, 8, 16):
         cmds.append((f"certify-width{width}",
                      ["certify", "--set", f"network.width={width}"]))
