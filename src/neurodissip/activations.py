@@ -24,6 +24,13 @@ sigma(0)/z singular term in ray form, clamped to |z| = EPS_Z); relu at
 exactly z = 0 uses the inactive convention and returns gain 0.
 
 The selu and gelu constants are the canonical published values.
+
+Only numpy is imported here, so every command starts on numpy alone.
+gelu, sigmoid and softplus evaluate scipy.special's ``erf``/``expit``
+ufuncs and load scipy.special the first time either is called; from then
+on the module names ``erf`` and ``expit`` are scipy's own ufuncs.  Every
+other activation, and every command that evaluates none of the three,
+never loads scipy.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import erf, expit
 
 __all__ = [
     "EPS_Z",
@@ -58,6 +64,30 @@ SELU_SCALE = 1.0507009873554804934193349852946
 SELU_ALPHA = 1.6732632423543772848170429916717
 
 LEAKY_SLOPE = 0.01
+
+
+def _load_special():
+    """Rebind ``erf`` and ``expit`` to scipy's ufuncs.
+
+    Two threads may both get here; the import lock makes the second wait
+    for a fully loaded module, and both bind the same objects.
+    """
+    global erf, expit
+    from scipy.special import erf, expit
+
+
+def _erf(x):
+    _load_special()
+    return erf(x)
+
+
+def _expit(x):
+    _load_special()
+    return expit(x)
+
+
+# Stand-ins until the first call; see _load_special.
+erf, expit = _erf, _expit
 
 STABLE = "stable"
 UNSTABLE_REGIONS = "unstable_regions"
