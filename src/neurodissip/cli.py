@@ -463,37 +463,41 @@ def certificate_report(config: ExperimentConfig, equilibria: bool = True) -> dic
         },
     }
 
+    # Norms and flags only: the certificate writes no eigenvalues.
     if net.input_dim == 2 and net.output_dim == 2:
-        grid = dissipativity.certify_region(net, analysis.grid(), analysis.mode)
-        summary = grid.summary()
+        grid = analysis.grid()
+        _, a_norm, _, diss, _, bad = dissipativity._batched_fields(
+            net, grid.cell_centers(), analysis.mode)
+        a_norm = a_norm.reshape(grid.resolution, grid.resolution)
+        summary = dissipativity._grid_summary(a_norm, diss, int(np.count_nonzero(bad)))
         report["grid"] = summary
-        worst = grid.worst_cell()
+        worst = dissipativity._worst_cell(a_norm)
         if worst is not None:
-            i, j, a_norm = worst
+            i, j, a_max = worst
             report["worst_cell"] = {
-                "x": float(grid.spec.axis_centers(0)[i]),
-                "y": float(grid.spec.axis_centers(1)[j]),
-                "a_norm": a_norm,
+                "x": float(grid.axis_centers(0)[i]),
+                "y": float(grid.axis_centers(1)[j]),
+                "a_norm": a_max,
             }
-        clean = summary["fraction_dissipative"] == 1.0 and not grid.errors
+        clean = summary["fraction_dissipative"] == 1.0 and not bad.any()
     else:
         box = [analysis.x_range] * net.input_dim
         anchors = dissipativity.lhs_anchors(net.input_dim, analysis.anchors,
                                             box, seed=config.seed)
-        verdicts = dissipativity.verdicts_at(net, anchors, mode=analysis.mode)
-        bad = [v for v in verdicts if v.error is not None]
-        hostile = [v for v in verdicts if v.error is None and not v.dissipative]
-        finite = [v.a_norm for v in verdicts if v.error is None]
+        _, a_norm, _, diss, _, bad = dissipativity._batched_fields(
+            net, anchors, analysis.mode)
+        hostile = ~bad & ~diss
         report["sampled"] = {
-            "anchors": len(verdicts),
-            "dissipative": len(verdicts) - len(bad) - len(hostile),
-            "errors": len(bad),
-            "max_a_norm": max(finite) if finite else None,
+            "anchors": len(anchors),
+            "dissipative": int(np.count_nonzero(diss)),
+            "errors": int(np.count_nonzero(bad)),
+            "max_a_norm": None if bad.all() else float(np.max(a_norm[~bad])),
         }
-        if hostile:
-            w = max(hostile, key=lambda v: v.a_norm)
-            report["worst_cell"] = {"anchor": w.anchor, "a_norm": w.a_norm}
-        clean = not bad and not hostile
+        if hostile.any():
+            # Ties go to the first anchor.
+            k = np.flatnonzero(hostile)[np.argmax(a_norm[hostile])]
+            report["worst_cell"] = {"anchor": anchors[k], "a_norm": float(a_norm[k])}
+        clean = not bad.any() and not hostile.any()
 
     if cert.certified:
         status = STATUS_GLOBAL
@@ -646,9 +650,10 @@ def cmd_grid(args) -> int:
         "metadata": _metadata("grid", config),
     })
     errors = f", {summary['errors']} error cells" if summary["errors"] else ""
+    max_a = summary["max_a_norm"]
     print(f"grid: {summary['dissipative']}/{summary['cells']} dissipative cells "
           f"(fraction {summary['fraction_dissipative']:.4f}, "
-          f"max a_norm {summary['max_a_norm']:.4f}){errors}")
+          f"max a_norm {float('nan') if max_a is None else max_a:.4f}){errors}")
     return 0
 
 

@@ -15,6 +15,12 @@ distinction between the conventions.
 
 Grid sweeps cover 2-D state spaces with cell-center anchors; higher
 dimensions use sampled anchor sets with the same per-point schema.
+
+A certificate reads only norms and flags.  An anchor is an error when
+its A(x), ||A(x)|| or ||b(x)|| is non-finite, and a summary whose every
+anchor is an error reports null norms.  Eigenvalues are computed only
+where they are returned (certify_region, verdicts_at, point_verdict);
+an anchor whose eigenvalues fail is an error there too.
 """
 
 from __future__ import annotations
@@ -166,27 +172,37 @@ class GridAnalysis:
         return [[self.cell(i, j) for j in range(r)] for i in range(r)]
 
     def summary(self) -> dict:
-        n_err = len(self.errors)
-        n_diss = int(np.count_nonzero(self.dissipative))
-        total = self.resolution**2
-        finite = self.a_norm[np.isfinite(self.a_norm)]
-        return {
-            "cells": total,
-            "dissipative": n_diss,
-            "non_dissipative": total - n_diss - n_err,
-            "errors": n_err,
-            "fraction_dissipative": n_diss / total,
-            "max_a_norm": float(np.max(finite)) if finite.size else float("nan"),
-            "min_a_norm": float(np.min(finite)) if finite.size else float("nan"),
-        }
+        return _grid_summary(self.a_norm, self.dissipative, len(self.errors))
 
     def worst_cell(self):
         """(i, j, a_norm) of the largest finite a_norm, or None."""
-        masked = np.where(np.isfinite(self.a_norm), self.a_norm, -np.inf)
-        if not np.isfinite(masked).any():
-            return None
-        i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        return int(i), int(j), float(masked[i, j])
+        return _worst_cell(self.a_norm)
+
+
+def _grid_summary(a_norm: np.ndarray, dissipative: np.ndarray, errors: int) -> dict:
+    """Cell counts and norm range of a grid's fields; norms are None when
+    no cell has a finite one."""
+    n_diss = int(np.count_nonzero(dissipative))
+    total = a_norm.size
+    finite = a_norm[np.isfinite(a_norm)]
+    return {
+        "cells": total,
+        "dissipative": n_diss,
+        "non_dissipative": total - n_diss - errors,
+        "errors": errors,
+        "fraction_dissipative": n_diss / total,
+        "max_a_norm": float(np.max(finite)) if finite.size else None,
+        "min_a_norm": float(np.min(finite)) if finite.size else None,
+    }
+
+
+def _worst_cell(a_norm: np.ndarray):
+    """(i, j, a_norm) of the largest finite entry of a (res, res) field, or None."""
+    masked = np.where(np.isfinite(a_norm), a_norm, -np.inf)
+    if not np.isfinite(masked).any():
+        return None
+    i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
+    return int(i), int(j), float(masked[i, j])
 
 
 def _require_square(net: MlpNetwork) -> None:
@@ -198,7 +214,11 @@ def _require_square(net: MlpNetwork) -> None:
 
 
 def _batched_fields(net: MlpNetwork, anchors: np.ndarray, mode: str):
-    """Shared vectorized core: per-anchor norms, eigenvalues, flags, errors."""
+    """Shared vectorized core: the A(x) stack, per-anchor norms, flags, errors.
+
+    An anchor is an error when its A(x), ||A|| or ||b|| is non-finite (a
+    non-finite A has a nan norm).
+    """
     n = anchors.shape[0]
     with np.errstate(invalid="ignore", over="ignore"):
         a, b = extract_pwa_batch(net, anchors, mode=mode)[:2]
@@ -206,10 +226,6 @@ def _batched_fields(net: MlpNetwork, anchors: np.ndarray, mode: str):
     with np.errstate(invalid="ignore", over="ignore"):
         b_norm = np.sqrt(np.sum(b * b, axis=1))
     bad = ~np.isfinite(a_norm) | ~np.isfinite(b_norm)
-
-    eigs = linalg._eigenvalues_batch(a)
-    bad |= np.isnan(eigs).any(axis=1)
-    eigs[bad] = np.nan
     a_upper = linalg.sigma_upper(a_norm, a.shape)
 
     x_norm = np.sqrt(np.sum(anchors * anchors, axis=1))
@@ -219,12 +235,26 @@ def _batched_fields(net: MlpNetwork, anchors: np.ndarray, mode: str):
         ok = a_upper < 1.0 - b_norm / np.where(defined, x_norm, 1.0)
     contractive[defined & ok] = 1
     contractive[defined & ~ok] = 0
-    contractive[bad] = 0
+    return (a,) + _mark_errors(a_norm, b_norm, a_upper < 1.0, contractive, bad)
 
-    dissipative = np.where(bad, False, a_upper < 1.0)
-    a_norm = np.where(bad, np.nan, a_norm)
-    b_norm = np.where(bad, np.nan, b_norm)
-    return a_norm, b_norm, eigs, dissipative.astype(bool), contractive, bad
+
+def _mark_errors(a_norm, b_norm, dissipative, contractive, bad):
+    """The fields with error anchors set to nan norms, not dissipative, not contractive."""
+    return (np.where(bad, np.nan, a_norm), np.where(bad, np.nan, b_norm),
+            dissipative & ~bad, np.where(bad, np.int8(0), contractive), bad)
+
+
+def _fields_with_eigenvalues(net: MlpNetwork, anchors: np.ndarray, mode: str):
+    """_batched_fields with the sorted eigenvalues in place of A(x).
+
+    An anchor whose eigenvalues failed is an error too; an error anchor's
+    eigenvalues are nan.
+    """
+    a, *fields, bad = _batched_fields(net, anchors, mode)
+    eigs = linalg._eigenvalues_batch(a)
+    bad = bad | np.isnan(eigs).any(axis=1)
+    eigs[bad] = np.nan
+    return (eigs,) + _mark_errors(*fields, bad)
 
 
 def verdicts_at(net: MlpNetwork, anchors, mode: str = "linear") -> list[PointVerdict]:
@@ -235,7 +265,7 @@ def verdicts_at(net: MlpNetwork, anchors, mode: str = "linear") -> list[PointVer
         raise ValueError(
             f"anchors must be (n, {net.input_dim}), got shape {anchors.shape}"
         )
-    a_norm, b_norm, eigs, diss, contr, bad = _batched_fields(net, anchors, mode)
+    eigs, a_norm, b_norm, diss, contr, bad = _fields_with_eigenvalues(net, anchors, mode)
     out = []
     for k in range(anchors.shape[0]):
         out.append(
@@ -274,7 +304,7 @@ def certify_region(
         )
     grid = grid or GridSpec()
     anchors = grid.cell_centers()
-    a_norm, b_norm, eigs, diss, contr, bad = _batched_fields(net, anchors, mode)
+    eigs, a_norm, b_norm, diss, contr, bad = _fields_with_eigenvalues(net, anchors, mode)
 
     r = grid.resolution
     errors = {

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,82 @@ class TestCertificateReport:
         assert "grid" not in report
         assert report["sampled"]["anchors"] == 50
         assert report["sampled"]["errors"] == 0
+
+
+class TestCertificateWithoutEigenvalues:
+    """certify and sweep write only norms and flags, so they must not need
+    eigenvalues; grid writes them and must."""
+
+    COMMANDS = {
+        "certify-tanh": ["certify", "--preset", "contractive-tanh"],
+        "certify-wide": ["certify", "--set", "network.width=16"],
+        "sweep": ["sweep", "--threads", "1", "--depths", "1",
+                  "--activations", "tanh", "--kinds", "unstructured",
+                  "--bias", "on,off"],
+    }
+
+    @staticmethod
+    def written(root):
+        return {
+            str(path.relative_to(root)):
+                re.sub(rb'"created": "[^"]*"', b'"created": "*"', path.read_bytes())
+            for path in sorted(root.rglob("*")) if path.is_file()
+        }
+
+    def test_certificates_never_take_eigenvalues(self, tmp_path, monkeypatch):
+        from neurodissip import linalg
+
+        for name, argv in self.COMMANDS.items():
+            assert main(argv + ["--out", str(tmp_path / "plain" / name)]) == 0
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues were computed")
+
+        monkeypatch.setattr(linalg, "_eigenvalues_batch", fail)
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        for name, argv in self.COMMANDS.items():
+            assert main(argv + ["--out", str(tmp_path / "patched" / name)]) == 0
+        plain = self.written(tmp_path / "plain")
+        assert "sweep/sweep.csv" in plain and len(plain) == 5
+        assert self.written(tmp_path / "patched") == plain
+        assert main(["grid", "--preset", "contractive-tanh",
+                     "--out", str(tmp_path / "grid")]) == 1
+
+
+class TestAllErrorSummary:
+    """A grid whose every cell overflows reports null norms in every artifact."""
+
+    OVERRIDES = ["--preset", "depth-growth", "--set", "network.depth=3000",
+                 "--set", "analysis.x_range=[5.0, 6.0]",
+                 "--set", "analysis.y_range=[5.0, 6.0]",
+                 "--set", "analysis.resolution=10"]
+
+    @staticmethod
+    def strict_json(path):
+        def reject(constant):
+            raise ValueError(f"{constant} is not valid JSON")
+
+        with open(path) as fh:
+            return json.load(fh, parse_constant=reject)
+
+    def test_certify_and_sweep_row(self, tmp_path):
+        assert main(["certify", "--out", str(tmp_path)] + self.OVERRIDES) == 0
+        grid = self.strict_json(tmp_path / "certificate.json")["grid"]
+        assert grid["errors"] == grid["cells"] == 100
+        assert grid["max_a_norm"] is None and grid["min_a_norm"] is None
+        config = ExperimentConfig.from_dict(
+            self.strict_json(tmp_path / "certificate.json")["metadata"]["config"])
+        report = certificate_report(config, equilibria=False)
+        row = cli._sweep_row("all-errors", config, report)
+        assert row["max_a_norm"] == "" and row["grid_errors"] == 100
+
+    def test_grid(self, tmp_path, capsys):
+        assert main(["grid", "--out", str(tmp_path)] + self.OVERRIDES) == 0
+        assert "max a_norm nan), 100 error cells" in capsys.readouterr().out
+        for name in ("grid.json", "grid_summary.json"):
+            summary = self.strict_json(tmp_path / name)["summary"]
+            assert summary["errors"] == 100
+            assert summary["max_a_norm"] is None and summary["min_a_norm"] is None
 
 
 class TestSweepEnumeration:

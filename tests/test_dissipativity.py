@@ -155,6 +155,24 @@ class TestGrid:
         assert res.cell(0, 0).error is not None
         assert point_verdict(net, [1.0, 1.0]).error is not None
 
+    def test_all_error_summary_reports_null_norms(self, tmp_path):
+        net = MlpNetwork(layers=(
+            Layer(weight=1e200 * np.eye(2), activation="identity"),
+            Layer(weight=1e200 * np.eye(2), activation="identity"),
+        ))
+        res = certify_region(net, GridSpec(resolution=3))
+        summary = res.summary()
+        assert summary["errors"] == summary["cells"] == 9
+        assert summary["max_a_norm"] is None and summary["min_a_norm"] is None
+        assert res.worst_cell() is None
+        write_grid_json(res, tmp_path / "grid.json")
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not valid JSON")
+
+        doc = json.loads((tmp_path / "grid.json").read_text(), parse_constant=reject)
+        assert doc["summary"]["max_a_norm"] is None
+
     def test_grid_rejects_higher_dimensions(self):
         net = linear_net(0.5 * np.eye(3))
         with pytest.raises(ValueError, match="2-D"):

@@ -49,6 +49,16 @@ def commands() -> list:
     for width in (3, 8, 16):
         cmds.append((f"certify-width{width}",
                      ["certify", "--set", f"network.width={width}"]))
+    # Sampled certificates on which eigenvalue and SVD failures once made
+    # error anchors.
+    for width in (3, 8, 16):
+        for activation in ("relu", "tanh", "gelu"):
+            for lo, hi in (("0.00", "1.00"), ("0.99", "1.01"), ("0.99", "1.10")):
+                cmds.append((f"certify-width{width}-{activation}-{lo}-{hi}",
+                             ["certify", "--set", f"network.width={width}",
+                              "--set", f"network.activation={activation}",
+                              "--set", f"map.lambda_min={lo}",
+                              "--set", f"map.lambda_max={hi}"]))
     for kind in MAP_KINDS:
         for width in (2, 8):
             cmds.append((f"gen-weights-{kind}-{width}",
