@@ -109,6 +109,10 @@ class Activation:
     def __call__(self, z):
         return self.fn(np.asarray(z, dtype=float))
 
+    def __reduce__(self):
+        # Pickles as its registry name, since the lambdas do not pickle.
+        return get_activation, (self.name,)
+
     def value_and_slope(self, z):
         """(fn(z), deriv(z)) bit for bit, sharing work where ``joint`` does."""
         if self.joint is None:

@@ -383,12 +383,11 @@ def build_network(config: ExperimentConfig) -> MlpNetwork:
 
 
 def resolve_threads(requested) -> int:
-    if requested:
-        return max(1, int(requested))
-    env = os.environ.get("NEURODISSIP_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if requested is None:
+        return os.cpu_count() or 1
+    if requested < 1:
+        raise ConfigError(f"--threads must be at least 1, got {requested}")
+    return requested
 
 
 def _metadata(command: str, config: ExperimentConfig) -> dict:
@@ -423,6 +422,9 @@ def _equilibrium_entries(net: MlpNetwork, analysis: AnalysisSpec) -> list:
         (0.8 * x_hi, 0.8 * y_hi),
     ]
     points: list = []
+    # Five batches of one, not one batch of five: a multi-row matmul may
+    # round differently, which would move the equilibria in
+    # certificate.json in the last bits.
     for x0 in starts:
         traj = dynamics.rollout(net, x0, steps=analysis.horizon)
         if traj.classification != "converged_point":
@@ -826,8 +828,8 @@ def _sweep_row(name: str, config: ExperimentConfig, report) -> dict:
 
 def cmd_sweep(args) -> int:
     base = _load_config(args)
-    out = _outdir(args)
     threads = resolve_threads(args.threads)
+    out = _outdir(args)
     kinds = args.kinds.split(",") if args.kinds else None
     depths = [int(d) for d in args.depths.split(",")] if args.depths else None
     activations = args.activations.split(",") if args.activations else None
@@ -974,8 +976,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="certify every config in the study grid")
     common(p)
     p.add_argument("--threads", type=int, default=None,
-                   help="configs certified side by side (default: "
-                        "NEURODISSIP_THREADS or the machine's cpu count)")
+                   help="configs certified side by side, at least 1 "
+                        "(default: the machine's cpu count)")
     p.add_argument("--kinds", help="comma list of map kinds to keep")
     p.add_argument("--bounds", help="comma list of lo:hi bound pairs to keep")
     p.add_argument("--depths", help="comma list of depths to keep")

@@ -7,7 +7,8 @@ converged_point, limit_cycle, diverged, or undetermined; line-like and
 quasi-periodic tails both land in undetermined with a tail bounding box,
 since no finite-horizon test separates them robustly.
 
-basin_map sweeps a grid of initial conditions with a batched rollout and
+One batched stepper applies these halting rules: basin_map runs it on a
+grid of initial conditions, and rollout is its batch of one.  basin_map
 clusters the observed limit points (including every state of a detected
 limit cycle) within a 1e-4 radius, so a two-point cycle counts as two
 distinct limits.
@@ -163,7 +164,12 @@ def rollout(
     cycle_tol: float = DEFAULT_CYCLE_TOL,
     max_period: int = DEFAULT_MAX_PERIOD,
 ) -> Trajectory:
-    """Iterate the network from x0, halting early on the standard rules."""
+    """Iterate the network from x0, halting early on the standard rules.
+
+    This is the batch of one of basin_map's stepper, so a rollout and a
+    basin cell from the same start halt at the same step, in the same
+    state.
+    """
     if net.output_dim != net.input_dim:
         raise ValueError(
             f"autonomous rollout needs a square net, got "
@@ -172,27 +178,13 @@ def rollout(
     if steps < 1:
         raise ValueError("steps must be at least 1")
     x = linalg.as_vector(x0, "x0")
-    states = [x.copy()]
-    halt = _HALT_HORIZON
-    consec = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            x_next = net.forward(x)
-            states.append(x_next.copy())
-            norm = float(np.sqrt(np.sum(x_next * x_next)))
-            if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
-                halt = _HALT_DIVERGED
-                break
-            step = float(np.sqrt(np.sum((x_next - x) ** 2)))
-            consec = consec + 1 if step < CONVERGENCE_TOL else 0
-            x = x_next
-            if consec >= CONVERGENCE_RUN:
-                halt = _HALT_CONVERGED
-                break
-    arr = np.asarray(states)
-    cls, limit, period, bounds = _classify(arr, halt, cycle_tol, max_period)
+    # One trajectory with a window of steps + 1 has shift 0, so the ring
+    # holds the whole trajectory in order.
+    ring, _, halts, ends = _rollout_tails(net, x[None], steps, steps + 1)
+    states, halt = ring[: ends[0] + 1, 0], halts[0]
+    cls, limit, period, bounds = _classify(states, halt, cycle_tol, max_period)
     return Trajectory(
-        states=arr, halt=halt, classification=cls,
+        states=states, halt=halt, classification=cls,
         limit=limit, period=period, tail_bounds=bounds,
     )
 
@@ -234,9 +226,10 @@ def _rollout_tails(net: MlpNetwork, starts: np.ndarray, steps: int, window: int)
     of each goes to ring slot (t + shift) % window, with the shift chosen
     so that a trajectory reaching the horizon ends with its last ``window``
     states in slot order.  Rows are dropped from the batch only on a step
-    where some trajectory halts.  Returns (ring, final, halts): ring[:, k]
-    is the ordered tail of trajectory k if it ran to the horizon, final[k]
-    its last state if it halted early, and halts[k] its halt label.
+    where some trajectory halts.  Returns (ring, final, halts, ends):
+    ring[:, k] is the ordered tail of trajectory k if it ran to the
+    horizon, final[k] its last state if it halted early, halts[k] its halt
+    label and ends[k] the step it halted at (steps at the horizon).
     """
     n_traj, dim = starts.shape
     shift = (window - steps - 1) % window
@@ -244,6 +237,7 @@ def _rollout_tails(net: MlpNetwork, starts: np.ndarray, steps: int, window: int)
     buf[shift] = starts
     final = np.empty_like(starts)
     halts = np.full(n_traj, _HALT_HORIZON, dtype=object)
+    ends = np.full(n_traj, steps, dtype=np.int64)
     idx = np.arange(n_traj)
     cur = np.array(starts, dtype=float)
     consec = np.zeros(n_traj, dtype=np.int64)
@@ -251,21 +245,23 @@ def _rollout_tails(net: MlpNetwork, starts: np.ndarray, steps: int, window: int)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, steps + 1):
             nxt, _ = net.forward_trace(cur)
-            norms = np.sqrt(np.sum(nxt * nxt, axis=1))
-            steps_len = np.sqrt(np.sum((nxt - cur) ** 2, axis=1))
+            norms = np.sqrt((nxt * nxt).sum(axis=1))
+            steps_len = np.sqrt(((nxt - cur) ** 2).sum(axis=1))
             if idx.size == n_traj:
                 buf[(t + shift) % window] = nxt
             else:
                 buf[(t + shift) % window, idx] = nxt
 
-            diverged = ~np.isfinite(norms) | (norms > DIVERGENCE_NORM)
+            # A nan or infinite norm fails <= too, so it diverges.
+            diverged = ~(norms <= DIVERGENCE_NORM)
             consec = np.where(steps_len < CONVERGENCE_TOL, consec + 1, 0)
-            converged = (consec >= CONVERGENCE_RUN) & ~diverged
-            halted = diverged | converged
+            halted = diverged | (consec >= CONVERGENCE_RUN)
             if not halted.any():
                 cur = nxt
                 continue
+            converged = halted & ~diverged
             final[idx[halted]] = nxt[halted]
+            ends[idx[halted]] = t
             halts[idx[diverged]] = _HALT_DIVERGED
             halts[idx[converged]] = _HALT_CONVERGED
             keep = ~halted
@@ -273,7 +269,7 @@ def _rollout_tails(net: MlpNetwork, starts: np.ndarray, steps: int, window: int)
             if idx.size == 0:
                 break
 
-    return buf, final, halts
+    return buf, final, halts, ends
 
 
 def basin_map(
@@ -295,7 +291,7 @@ def basin_map(
     grid = grid or GridSpec(resolution=40)
     starts = grid.cell_centers()
     window = min(steps + 1, 2 * max_period + 1)
-    ring, final, halts = _rollout_tails(net, starts, steps, window)
+    ring, final, halts, _ = _rollout_tails(net, starts, steps, window)
 
     n = starts.shape[0]
     periods = np.zeros(n, dtype=np.int64)

@@ -32,6 +32,7 @@ class Layer:
     weight: np.ndarray
     bias: np.ndarray | None = None
     activation: str | None = None
+    act: Activation | None = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weight, dtype=float)
@@ -49,8 +50,9 @@ class Layer:
             if not np.all(np.isfinite(b)):
                 raise ValueError("layer bias contains non-finite entries")
             object.__setattr__(self, "bias", b)
-        if self.activation is not None:
-            get_activation(self.activation)  # raises on unknown names
+        # Looked up once, not on every forward pass; raises on unknown names.
+        act = None if self.activation is None else get_activation(self.activation)
+        object.__setattr__(self, "act", act)
 
     @property
     def rows(self) -> int:
@@ -59,10 +61,6 @@ class Layer:
     @property
     def cols(self) -> int:
         return self.weight.shape[1]
-
-    @property
-    def act(self) -> Activation | None:
-        return None if self.activation is None else get_activation(self.activation)
 
 
 @dataclass(frozen=True, eq=False)

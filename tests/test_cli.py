@@ -670,12 +670,17 @@ class TestCommandPlumbing:
         assert rc == 1
         assert "depht" in capsys.readouterr().err
 
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("NEURODISSIP_THREADS", "3")
-        assert cli.resolve_threads(None) == 3
+    def test_threads_explicit_or_cpu_count(self):
         assert cli.resolve_threads(5) == 5
-        monkeypatch.delenv("NEURODISSIP_THREADS")
+        assert cli.resolve_threads(1) == 1
         assert cli.resolve_threads(None) >= 1
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_sweep_rejects_threads_below_one(self, tmp_path, capsys, threads):
+        rc = main(["sweep", "--threads", threads, "--count-only",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error: --threads must be at least 1" in capsys.readouterr().err
 
     def test_outputs_deterministic_modulo_timestamp(self, tmp_path):
         for sub in ("a", "b"):

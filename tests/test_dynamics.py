@@ -366,6 +366,106 @@ class TestBasinBitForBit:
         assert ids.shape == (0,) and reps.shape == (0, 2)
 
 
+# --- the scalar rollout loop, verbatim -----------------------------------------
+
+def reference_rollout(net, x0, steps=dynamics.DEFAULT_HORIZON,
+                      cycle_tol=dynamics.DEFAULT_CYCLE_TOL,
+                      max_period=dynamics.DEFAULT_MAX_PERIOD):
+    x = linalg.as_vector(x0, "x0")
+    states = [x.copy()]
+    halt = dynamics._HALT_HORIZON
+    consec = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            x_next = net.forward(x)
+            states.append(x_next.copy())
+            norm = float(np.sqrt(np.sum(x_next * x_next)))
+            if not np.isfinite(norm) or norm > dynamics.DIVERGENCE_NORM:
+                halt = dynamics._HALT_DIVERGED
+                break
+            step = float(np.sqrt(np.sum((x_next - x) ** 2)))
+            consec = consec + 1 if step < dynamics.CONVERGENCE_TOL else 0
+            x = x_next
+            if consec >= dynamics.CONVERGENCE_RUN:
+                halt = dynamics._HALT_CONVERGED
+                break
+    arr = np.asarray(states)
+    cls, limit, period, bounds = dynamics._classify(arr, halt, cycle_tol, max_period)
+    return dynamics.Trajectory(
+        states=arr, halt=halt, classification=cls,
+        limit=limit, period=period, tail_bounds=bounds,
+    )
+
+
+def square_2d_presets():
+    names = []
+    for name in sorted(cli.PRESETS):
+        net = cli.build_network(basin_config(name))
+        if net.input_dim == net.output_dim == 2:
+            names.append(name)
+    return names
+
+
+def preset_starts(analysis, seed):
+    """analysis.x0, the four 0.8 x range corners, three random starts, 1e10."""
+    (x_lo, x_hi), (y_lo, y_hi) = analysis.x_range, analysis.y_range
+    corners = [(0.8 * x, 0.8 * y) for x in (x_lo, x_hi) for y in (y_lo, y_hi)]
+    rng = np.random.default_rng(seed)
+    randoms = rng.uniform((x_lo, y_lo), (x_hi, y_hi), size=(3, 2))
+    return [analysis.x0, *corners, *randoms, (1e10, 1e10)]
+
+
+class TestRolloutIsBatchOfOne:
+    """rollout runs basin_map's stepper; it must equal the scalar loop it replaced."""
+
+    @staticmethod
+    def same_as_reference(net, x0, **kwargs):
+        traj = rollout(net, x0, **kwargs)
+        want = reference_rollout(net, x0, **kwargs)
+        np.testing.assert_array_equal(traj.states, want.states)
+        assert traj.halt == want.halt
+        assert traj.classification == want.classification
+        assert traj.period == want.period
+        for got, ref in ((traj.limit, want.limit), (traj.tail_bounds, want.tail_bounds)):
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                np.testing.assert_array_equal(got, ref)
+        return traj
+
+    @pytest.mark.parametrize("preset", square_2d_presets())
+    def test_every_2d_preset(self, preset):
+        config = basin_config(preset)
+        net = cli.build_network(config)
+        seed = sorted(cli.PRESETS).index(preset)
+        for x0 in preset_starts(config.analysis, seed):
+            self.same_as_reference(net, x0, steps=config.analysis.horizon)
+
+    def test_diverging_start(self):
+        traj = self.same_as_reference(linear_net(0.5 * np.eye(2)), [1e10, 1e10])
+        assert traj.halt == "diverged" and traj.steps == 1
+
+    @pytest.mark.parametrize("steps", [1, 50, 2000])
+    @pytest.mark.parametrize("max_period", [1, 8, 512])
+    @pytest.mark.parametrize("preset", ["period-five", "period-two",
+                                        "quasiperiodic-orbit", "shifted-equilibrium"])
+    def test_horizons_and_periods(self, preset, steps, max_period):
+        config = basin_config(preset)
+        net = cli.build_network(config)
+        for x0 in preset_starts(config.analysis, seed=steps + max_period)[:3]:
+            self.same_as_reference(net, x0, steps=steps, max_period=max_period)
+
+    @pytest.mark.parametrize("activation", ["tanh", "selu", "gelu"])
+    def test_three_dimensional_net(self, activation):
+        rng = np.random.default_rng(7)
+        w1, w2 = rng.standard_normal((2, 3, 3))
+        net = MlpNetwork(layers=(
+            Layer(weight=w1, bias=rng.uniform(-0.5, 0.5, 3), activation=activation),
+            Layer(weight=w2 / linalg.spectral_norm(w2), activation=activation),
+        ))
+        for x0 in [np.zeros(3), *(3.0 * rng.standard_normal((3, 3))), np.full(3, 1e10)]:
+            self.same_as_reference(net, x0)
+
+
 class TestDepthSpectra:
     def test_linear_moduli_follow_the_power(self):
         w = rotation(0.7, scale=0.9)

@@ -1,6 +1,7 @@
 """Tests for the activation catalogue and MLP container."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -164,6 +165,13 @@ class TestLayer:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             Layer(weight=np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_activation_looked_up_at_construction(self):
+        layer = Layer(weight=np.eye(2), activation="gelu")
+        assert layer.act is get_activation("gelu")
+        assert Layer(weight=np.eye(2)).act is None
+        # The lookup survives pickling, which sends the registry name.
+        assert pickle.loads(pickle.dumps(layer)).act is layer.act
 
 
 class TestMlpNetwork:
