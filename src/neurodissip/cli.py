@@ -455,15 +455,7 @@ def certificate_report(config: ExperimentConfig, equilibria: bool = True) -> dic
     net = build_network(config)
     analysis = config.analysis
     cert = dissipativity.layerwise_certificate(net)
-    report: dict = {
-        "layerwise": {
-            "certified": cert.certified,
-            "certified_relaxed": cert.certified_relaxed,
-            "w_norms": list(cert.w_norms),
-            "lambda_bound": cert.lambda_bound,
-            "lambda_bound_analytic": cert.lambda_bound_analytic,
-        },
-    }
+    report: dict = {"layerwise": asdict(cert)}
 
     # Norms and flags only: the certificate writes no eigenvalues.
     if net.input_dim == 2 and net.output_dim == 2:
@@ -826,12 +818,33 @@ def _sweep_row(name: str, config: ExperimentConfig, report) -> dict:
     return row
 
 
+def _sweep_filter(flag, text, parse, valid):
+    """Parse a comma list of axis values, each one the study holds."""
+    if not text:
+        return None
+    values = []
+    for token in text.split(","):
+        value = parse(token)
+        if value not in valid:
+            raise ConfigError(f"{flag} value {token!r} is not in the sweep")
+        values.append(value)
+    return values
+
+
+def _bound_pair(token):
+    lo, sep, hi = token.partition(":")
+    if not sep:
+        raise ConfigError("--bounds takes a comma list of lo:hi pairs")
+    return float(lo), float(hi)
+
+
 def cmd_sweep(args) -> int:
     base = _load_config(args)
     threads = resolve_threads(args.threads)
     out = _outdir(args)
-    kinds = args.kinds.split(",") if args.kinds else None
-    depths = [int(d) for d in args.depths.split(",")] if args.depths else None
+    rows = sweep_rows()
+    kinds = _sweep_filter("--kinds", args.kinds, str, {k for k, _ in rows})
+    depths = _sweep_filter("--depths", args.depths, int, SWEEP_DEPTHS)
     activations = args.activations.split(",") if args.activations else None
     bias_choices = None
     if args.bias:
@@ -840,15 +853,8 @@ def cmd_sweep(args) -> int:
             bias_choices = tuple(mapping[b] for b in args.bias.split(","))
         except KeyError:
             raise ConfigError("--bias takes a comma list of on/off")
-    bounds = None
-    if args.bounds:
-        bounds = []
-        for token in args.bounds.split(","):
-            lo, sep, hi = token.partition(":")
-            if not sep:
-                raise ConfigError("--bounds takes a comma list of lo:hi pairs")
-            bounds.append((float(lo), float(hi)))
-        bounds = tuple(bounds)
+    bounds = _sweep_filter("--bounds", args.bounds, _bound_pair,
+                           {b for _, b in rows if b is not None})
 
     configs = enumerate_sweep(base, kinds=kinds, bounds=bounds, depths=depths,
                               activations=activations,
@@ -1000,9 +1006,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

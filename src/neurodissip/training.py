@@ -8,9 +8,12 @@ a flat list of parameter arrays.
 
 Weights can be free matrices or structured parametrizations (row-sum,
 SVD, or disc-confined factorizations from the structured module).  A
-parametrized weight stores its raw parameters and is re-realized from
-them at every step, so its spectral guarantee holds after every
-optimizer update by construction rather than by projection.
+parametrized weight stores its raw parameters, and the trainer realizes
+both maps from them once before the first batch and once after each
+optimizer update, so the spectral guarantee holds after every update by
+construction rather than by projection.  That one realized pair is what
+the next batch's forward and backward pass, the regularizers, the dev
+error and model selection all read.
 
 Batches are processed as one stacked tensor per step, which is the only
 parallelism the loop needs; the external contract is single-threaded.
@@ -24,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .activations import get_activation
 from .dissipativity import dissipativity_penalty
 from .network import Layer, MlpNetwork, load_network, save_network
 from .structured import FreeWeight, StructuredWeight
@@ -495,19 +497,14 @@ class TrainingData:
         )
 
     @classmethod
-    def from_dataset(cls, dataset, normalize: bool = True) -> "TrainingData":
-        """Adopt a plant dataset, min-max normalized to [-1, 1] by default.
+    def from_dataset(cls, dataset) -> "TrainingData":
+        """Adopt a plant dataset, min-max normalized to [-1, 1].
 
         The dataset's three positional splits become the named ones here.
         """
-        if normalize:
-            states = dataset.normalized_states()
-            inputs = dataset.normalized_inputs()
-        else:
-            states = dataset.states.copy()
-            inputs = dataset.inputs.copy()
         train, dev, test = dataset.splits
-        return cls(states=states, inputs=inputs,
+        return cls(states=dataset.normalized_states(),
+                   inputs=dataset.normalized_inputs(),
                    splits={"train": train, "dev": dev, "test": test})
 
     def split_arrays(self, name: str):
@@ -516,7 +513,7 @@ class TrainingData:
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss went non-finite; carries which batch blew up."""
+    """Loss, regularizer or a parameter went non-finite; names the batch."""
 
     def __init__(self, message, epoch: int, batch_index: int, window_starts):
         super().__init__(message)
@@ -563,19 +560,6 @@ def _as_constrained(model):
     raise TypeError(f"cannot train a {type(model).__name__}")
 
 
-def _realized_spec(cnet: ConstrainedNetwork):
-    spec = []
-    for layer in cnet.layers:
-        w = layer.weight.realize()
-        if not np.isfinite(w).all():
-            return None
-        act = None if layer.activation is None else get_activation(
-            layer.activation
-        )
-        spec.append((w, layer.bias, act))
-    return spec
-
-
 # Anchors drawn per epoch for the dissipativity regularizer; the box is
 # the normalized state range, so the penalty surveys the data region.
 _DISS_ANCHORS = 32
@@ -587,7 +571,9 @@ def train(model, data: TrainingData, config: TrainConfig) -> TrainReport:
     Windows of horizon+1 states are shuffled each epoch and processed in
     batches; model selection picks the epoch with the lowest open-loop
     error over the dev split.  Deterministic given (data, config, seed).
-    Raises TrainingDiverged as soon as a batch loss goes non-finite.
+    Raises TrainingDiverged, naming the epoch, batch and window starts,
+    as soon as a batch loss or the dissipativity regularizer goes
+    non-finite, or an update leaves a weight or bias non-finite.
 
     Regularizer weights are plain floats: ``l1``/``l2`` act on every
     realized weight matrix, while ``dissipativity`` scales the mean
@@ -595,10 +581,10 @@ def train(model, data: TrainingData, config: TrainConfig) -> TrainReport:
     epoch from the [-1, 1] normalized state box.
     """
     f_cnet, g_cnet = _as_constrained(model)
-    f_probe = f_cnet.realize()
-    g_probe = g_cnet.realize()
-    BlockSSM(f_net=f_probe, g_net=g_probe)  # dimension contract
-    n_x, n_u = f_probe.output_dim, g_probe.input_dim
+    # The one realized pair: rebuilt after every update, read by the next
+    # batch, the penalty, the dev error and model selection alike.
+    realized = BlockSSM(f_net=f_cnet.realize(), g_net=g_cnet.realize())
+    n_x, n_u = realized.state_dim, realized.input_dim
     if data.states.shape[1] != n_x or data.inputs.shape[1] != n_u:
         raise ValueError(
             f"model is ({n_x} states, {n_u} inputs) but data is "
@@ -633,22 +619,16 @@ def train(model, data: TrainingData, config: TrainConfig) -> TrainReport:
         batch_losses, batch_regs = [], []
         for bi in range(0, order.shape[0], config.batch):
             chunk = order[bi:bi + config.batch]
-            spec_f = _realized_spec(f_cnet)
-            spec_g = _realized_spec(g_cnet)
-            if spec_f is None or spec_g is None:
-                raise TrainingDiverged(
-                    f"parameters went non-finite at epoch {epoch}, "
-                    f"batch {bi // config.batch}",
-                    epoch, bi // config.batch, chunk,
-                )
+            batch = bi // config.batch
+            spec_f = _net_spec(realized.f_net)
+            spec_g = _net_spec(realized.g_net)
             xs = data.states[chunk[:, None] + offs_x]
             us = data.inputs[chunk[:, None] + offs_u]
             loss, f_tr, g_tr, err = _bptt_forward(spec_f, spec_g, xs, us)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, "
-                    f"batch {bi // config.batch}",
-                    epoch, bi // config.batch, chunk,
+                    f"non-finite loss at epoch {epoch}, batch {batch}",
+                    epoch, batch, chunk,
                 )
             gw_f, gb_f, gw_g, gb_g = _bptt_backward(
                 spec_f, spec_g, f_tr, g_tr, err
@@ -663,17 +643,12 @@ def train(model, data: TrainingData, config: TrainConfig) -> TrainReport:
                         gw += l1 * np.sign(w)
                         reg_total += l1 * float(np.sum(np.abs(w)))
             if diss_weight > 0.0:
-                realized_f = MlpNetwork(layers=tuple(
-                    Layer(weight=w, bias=b,
-                          activation=layer.activation)
-                    for (w, b, _), layer in zip(spec_f, f_cnet.layers)
-                ))
-                d_value, d_grads = dissipativity_penalty(realized_f, anchors)
+                d_value, d_grads = dissipativity_penalty(realized.f_net, anchors)
                 if not np.isfinite(d_value):
                     raise TrainingDiverged(
                         f"non-finite regularizer at epoch {epoch}, "
-                        f"batch {bi // config.batch}",
-                        epoch, bi // config.batch, chunk,
+                        f"batch {batch}",
+                        epoch, batch, chunk,
                     )
                 reg_total += diss_weight * d_value
                 for gw, dg in zip(gw_f, d_grads):
@@ -684,27 +659,34 @@ def train(model, data: TrainingData, config: TrainConfig) -> TrainReport:
             reg_total += pen_f + pen_g
             opt.step(params + params_g, grads + grads_g,
                      config.learning_rate)
+            try:
+                realized = BlockSSM(f_net=f_cnet.realize(),
+                                    g_net=g_cnet.realize())
+            except ValueError:  # Layer rejects a non-finite weight or bias
+                raise TrainingDiverged(
+                    f"parameters went non-finite at epoch {epoch}, "
+                    f"batch {batch}",
+                    epoch, batch, chunk,
+                ) from None
             batch_losses.append(loss)
             batch_regs.append(reg_total)
 
         train_losses.append(float(np.mean(batch_losses)))
         reg_values.append(float(np.mean(batch_regs)))
-        snapshot = BlockSSM(f_net=f_cnet.realize(), g_net=g_cnet.realize())
-        dev_loss = open_loop_mse(snapshot, dev_states, dev_inputs)
+        dev_loss = open_loop_mse(realized, dev_states, dev_inputs)
         dev_losses.append(dev_loss)
         if dev_loss < best_dev:
-            best_epoch, best_dev, best_model = epoch, dev_loss, snapshot
+            best_epoch, best_dev, best_model = epoch, dev_loss, realized
 
     if best_model is None:
-        best_epoch = 0
-        best_model = BlockSSM(f_net=f_cnet.realize(), g_net=g_cnet.realize())
+        best_epoch, best_model = 0, realized
     return TrainReport(
         train_losses=train_losses,
         dev_losses=dev_losses,
         regularizer_values=reg_values,
         best_epoch=best_epoch,
         best_model=best_model,
-        final_model=BlockSSM(f_net=f_cnet.realize(), g_net=g_cnet.realize()),
+        final_model=realized,
         config=config,
     )
 

@@ -616,6 +616,24 @@ class TestSweepCommand:
             assert (tmp_path / "configs" / f"{name}.json").exists()
         assert "2 configurations" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--kinds", "spectral"), ("--depths", "5"), ("--bounds", "0.5:0.9"),
+    ])
+    def test_filter_value_outside_study_rejected(self, tmp_path, capsys,
+                                                 flag, value):
+        rc = main(["sweep", "--count-only", "--out", str(tmp_path),
+                   flag, value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert flag in err and repr(value) in err
+
+    def test_valid_filters_may_select_nothing(self, tmp_path, capsys):
+        rc = main(["sweep", "--count-only", "--out", str(tmp_path),
+                   "--kinds", "perron_frobenius", "--bounds", "0.00:1.00"])
+        assert rc == 0
+        assert "sweep: 0 configurations" in capsys.readouterr().out
+
     def test_bad_bounds_token_rejected(self, tmp_path, capsys):
         rc = main(["sweep", "--out", str(tmp_path), "--bounds", "0.99"])
         assert rc == 1

@@ -357,6 +357,11 @@ class TestTrainLoop:
         config = TrainConfig(horizon=4, batch=8, epochs=12, learning_rate=5e-3, seed=1)
         report = train(model, data, config)
         assert report.dev_losses[report.best_epoch] == min(report.dev_losses)
+        # The selected and final models are the ones whose dev error was
+        # measured, bit for bit.
+        dev = data.split_arrays("dev")
+        assert open_loop_mse(report.best_model, *dev) == report.best_dev_loss
+        assert open_loop_mse(report.final_model, *dev) == report.dev_losses[-1]
 
     def test_divergence_aborts_with_diagnostics(self):
         data = linear_plant_data([[0.9]], [[1.0]], samples=120, seed=5)
@@ -371,6 +376,31 @@ class TestTrainLoop:
         assert err.value.epoch >= 0
         assert err.value.batch_index >= 0
         assert "batch" in str(err.value)
+
+    @pytest.mark.parametrize("batch", [64, 4])
+    def test_non_finite_parameters_name_the_update(self, batch):
+        # A learning rate near the float maximum overflows the first SGD
+        # update.  With batch 64 that update is the epoch's last one,
+        # which once escaped as a bare ValueError from the epoch-end
+        # realization; with batch 4 the next batch once took the blame.
+        rng = np.random.default_rng(5)
+        data = TrainingData(
+            states=100.0 * rng.uniform(-1.0, 1.0, (60, 1)),
+            inputs=rng.uniform(-1.0, 1.0, (60, 1)),
+            splits={"train": (0, 20), "dev": (20, 40), "test": (40, 60)},
+        )
+        model = BlockSSM(f_net=make_mlp((1, 4, 1), seed=3),
+                         g_net=make_mlp((1, 4, 1), seed=4))
+        config = TrainConfig(horizon=8, batch=batch, epochs=3,
+                             learning_rate=1.7e308, optimizer="sgd", seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged,
+                               match="parameters went non-finite") as err:
+                train(model, data, config)
+        first_batch = np.random.default_rng(0).permutation(np.arange(12))[:batch]
+        assert err.value.epoch == 0
+        assert err.value.batch_index == 0
+        assert err.value.window_starts == first_batch.tolist()
 
     def test_training_data_split_too_short_rejected(self):
         data = linear_plant_data([[0.9]], [[1.0]], samples=30, seed=6)
@@ -739,6 +769,24 @@ class TestTrainableParametrizations:
         assert np.all(np.abs(eig - 0.475) <= 0.475 + 1e-10)
         sing = np.linalg.svd(final_f.layers[1].weight, compute_uv=False)
         assert np.all(sing <= 0.95 + 1e-8)
+
+    def test_regularized_best_model_is_the_model_scored_on_dev(self):
+        data = linear_plant_data([[0.6, 0.1], [0.0, 0.7]], [[1.0], [0.5]],
+                                 samples=240, seed=9)
+        f = ConstrainedNetwork(layers=[
+            ConstrainedLayer(weight=draw_map("spectral_svd", 2, 0.0, 1.2,
+                                             seed=11),
+                             bias=np.zeros(2), activation="tanh"),
+            ConstrainedLayer(weight=FreeWeight(np.eye(2)), activation=None),
+        ])
+        g = ConstrainedNetwork.from_network(make_mlp((1, 4, 2), seed=12))
+        config = TrainConfig(horizon=4, batch=16, epochs=4, learning_rate=1e-2,
+                             regularizers={"dissipativity": 0.5, "l2": 1e-3},
+                             seed=2)
+        report = train(training.ConstrainedSSM(f=f, g=g), data, config)
+        assert report.best_epoch > 0
+        assert open_loop_mse(report.best_model, *data.split_arrays("dev")) \
+            == report.best_dev_loss
 
 
 class TestCheckpoints:

@@ -72,6 +72,17 @@ def commands() -> list:
     cmds.append(("train-two-tank-identification",
                  ["train", "--preset", "two-tank-identification",
                   "--set", "training.epochs=2"]))
+    # The regularized trainer: l1, l2 and the dissipativity penalty, and Sgd.
+    cmds.append(("train-two-tank-regularized",
+                 ["train", "--preset", "two-tank-identification",
+                  "--set", "training.epochs=2",
+                  "--set", 'training.regularizers={"l1": 1e-4, "l2": 1e-4, '
+                           '"dissipativity": 0.5}']))
+    cmds.append(("train-cstr-sgd",
+                 ["train", "--preset", "cstr-identification",
+                  "--set", "plant.samples=900", "--set", "training.epochs=3",
+                  "--set", "training.optimizer=sgd",
+                  "--set", "training.learning_rate=0.01"]))
     cmds.append(("sweep", ["sweep", "--threads", "2"]))
     return cmds
 
