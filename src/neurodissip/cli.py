@@ -459,39 +459,34 @@ def certificate_report(config: ExperimentConfig, equilibria: bool = True) -> dic
 
     # Norms and flags only: the certificate writes no eigenvalues.
     if net.input_dim == 2 and net.output_dim == 2:
-        grid = analysis.grid()
-        _, a_norm, _, diss, _, bad = dissipativity._batched_fields(
-            net, grid.cell_centers(), analysis.mode)
-        a_norm = a_norm.reshape(grid.resolution, grid.resolution)
-        summary = dissipativity._grid_summary(a_norm, diss, int(np.count_nonzero(bad)))
-        report["grid"] = summary
-        worst = dissipativity._worst_cell(a_norm)
+        region = dissipativity.certify_region(net, analysis.grid(), analysis.mode)
+        summary = report["grid"] = region.summary()
+        worst = region.worst_cell()
         if worst is not None:
             i, j, a_max = worst
             report["worst_cell"] = {
-                "x": float(grid.axis_centers(0)[i]),
-                "y": float(grid.axis_centers(1)[j]),
+                "x": float(region.spec.axis_centers(0)[i]),
+                "y": float(region.spec.axis_centers(1)[j]),
                 "a_norm": a_max,
             }
-        clean = summary["fraction_dissipative"] == 1.0 and not bad.any()
+        clean = summary["fraction_dissipative"] == 1.0 and not region.error.any()
     else:
         box = [analysis.x_range] * net.input_dim
         anchors = dissipativity.lhs_anchors(net.input_dim, analysis.anchors,
                                             box, seed=config.seed)
-        _, a_norm, _, diss, _, bad = dissipativity._batched_fields(
-            net, anchors, analysis.mode)
-        hostile = ~bad & ~diss
+        v = dissipativity.verdicts_at(net, anchors, analysis.mode)
+        hostile = ~v.error & ~v.dissipative
         report["sampled"] = {
             "anchors": len(anchors),
-            "dissipative": int(np.count_nonzero(diss)),
-            "errors": int(np.count_nonzero(bad)),
-            "max_a_norm": None if bad.all() else float(np.max(a_norm[~bad])),
+            "dissipative": int(np.count_nonzero(v.dissipative)),
+            "errors": int(np.count_nonzero(v.error)),
+            "max_a_norm": None if v.error.all() else float(np.max(v.a_norm[~v.error])),
         }
         if hostile.any():
             # Ties go to the first anchor.
-            k = np.flatnonzero(hostile)[np.argmax(a_norm[hostile])]
-            report["worst_cell"] = {"anchor": anchors[k], "a_norm": float(a_norm[k])}
-        clean = not bad.any() and not hostile.any()
+            k = np.flatnonzero(hostile)[np.argmax(v.a_norm[hostile])]
+            report["worst_cell"] = {"anchor": anchors[k], "a_norm": float(v.a_norm[k])}
+        clean = not v.error.any() and not hostile.any()
 
     if cert.certified:
         status = STATUS_GLOBAL
@@ -824,7 +819,12 @@ def _sweep_filter(flag, text, parse, valid):
         return None
     values = []
     for token in text.split(","):
-        value = parse(token)
+        try:
+            value = parse(token)
+        except ConfigError:
+            raise
+        except ValueError:
+            raise ConfigError(f"{flag} value {token!r} cannot be parsed") from None
         if value not in valid:
             raise ConfigError(f"{flag} value {token!r} is not in the sweep")
         values.append(value)
@@ -876,11 +876,8 @@ def cmd_sweep(args) -> int:
         except Exception as exc:  # logged per config, sweep continues
             return name, config, exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, configs))
-    else:
-        results = [work(item) for item in configs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(work, configs))
     results.sort(key=lambda item: item[0])
 
     counts = {STATUS_GLOBAL: 0, STATUS_REGIONAL: 0, STATUS_FAILED: 0, "ERROR": 0}

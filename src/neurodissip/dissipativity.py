@@ -13,19 +13,25 @@ Verdicts default to the ray gain convention ("linear" mode), under which
 f(x) = A(x) x holds exactly for bias-free networks; see pwa for the
 distinction between the conventions.
 
-Grid sweeps cover 2-D state spaces with cell-center anchors; higher
-dimensions use sampled anchor sets with the same per-point schema.
+Every verdict comes from verdicts_at, which returns one Verdicts record
+of per-anchor arrays; a single point is a batch of one.  Grid sweeps
+cover 2-D state spaces: certify_region is verdicts_at at the cell
+centers, with each field shaped to the grid.  Higher dimensions use
+sampled anchor sets (lhs_anchors) with the same record.
 
-A certificate reads only norms and flags.  An anchor is an error when
-its A(x), ||A(x)|| or ||b(x)|| is non-finite, and a summary whose every
-anchor is an error reports null norms.  Eigenvalues are computed only
-where they are returned (certify_region, verdicts_at, point_verdict);
-an anchor whose eigenvalues fail is an error there too.
+An anchor is an error when its A(x), ||A(x)|| or ||b(x)|| is non-finite;
+its norms are nan, it is neither dissipative nor contractive, and a
+summary whose every anchor is an error reports null norms.  A record
+computes its eigenvalues the first time they are read (nan at error
+anchors), so certificates, which read only norms and flags, never take
+them.  An anchor on which LAPACK fails for the eigenvalues keeps its norm
+verdict and reads nan eigenvalues.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -35,12 +41,11 @@ from .network import MlpNetwork
 from .pwa import PwaForm, extract_pwa_batch
 
 __all__ = [
-    "PointVerdict",
+    "Verdicts",
     "GridSpec",
     "GridAnalysis",
     "EquilibriumBounds",
     "LayerwiseCertificate",
-    "point_verdict",
     "verdicts_at",
     "certify_region",
     "layerwise_certificate",
@@ -53,22 +58,38 @@ __all__ = [
 
 # Below this anchor norm the affine-contraction test is left undefined.
 _ORIGIN_TOL = 1e-12
-# Message on anchors whose decomposition, norm or eigenvalues failed; the
-# wording is kept so that artifacts keep their bytes.
+# Message written for error anchors; the wording is kept so that
+# artifacts keep their bytes.
 _ERROR = "non-finite decomposition or norm did not converge"
 
 
 @dataclass(frozen=True, eq=False)
-class PointVerdict:
-    """Stability facts about one anchor point."""
+class Verdicts:
+    """Stability facts at a set of anchors, one array entry per anchor.
 
-    anchor: np.ndarray
-    a_norm: float
-    b_norm: float
-    eigenvalues: np.ndarray  # complex, descending modulus
-    dissipative: bool
-    contractive_affine: bool | None
-    error: str | None = None
+    Fields share the anchors' leading shape.  contractive codes: 1 true,
+    0 false, -1 undefined (anchor at the origin).  error marks anchors
+    whose A(x), ||A(x)|| or ||b(x)|| is non-finite; their norms are nan
+    and they are neither dissipative nor contractive.
+    """
+
+    anchors: np.ndarray
+    a: np.ndarray  # the A(x) stack
+    a_norm: np.ndarray
+    b_norm: np.ndarray
+    dissipative: np.ndarray  # bool
+    contractive: np.ndarray  # int8
+    error: np.ndarray  # bool
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Complex, descending modulus, computed on first read; nan at error
+        anchors and where LAPACK fails."""
+        n = self.a.shape[-1]
+        eigs = linalg._eigenvalues_batch(self.a.reshape(-1, n, n))
+        eigs = eigs.reshape(self.a.shape[:-1])
+        eigs[self.error] = np.nan
+        return eigs
 
 
 @dataclass(frozen=True)
@@ -130,79 +151,40 @@ class LayerwiseCertificate:
     lambda_bound_analytic: bool
 
 
-@dataclass(eq=False)
-class GridAnalysis:
-    """Dense per-cell stability fields over a GridSpec.
-
-    contractive codes: 1 true, 0 false, -1 undefined (anchor at origin).
-    errors maps (i, j) -> message for cells whose linear algebra failed;
-    their numeric fields are nan and dissipative is False.
-    """
+@dataclass(frozen=True, eq=False)
+class GridAnalysis(Verdicts):
+    """Verdicts at a GridSpec's cell centers, each field shaped (res, res, ...)."""
 
     spec: GridSpec
     mode: str
-    a_norm: np.ndarray
-    b_norm: np.ndarray
-    eigenvalues: np.ndarray  # (res, res, n) complex
-    dissipative: np.ndarray  # bool
-    contractive: np.ndarray  # int8
-    errors: dict[tuple[int, int], str] = field(default_factory=dict)
 
     @property
     def resolution(self) -> int:
         return self.spec.resolution
 
-    def cell(self, i: int, j: int) -> PointVerdict:
-        anchor = np.array([self.spec.axis_centers(0)[i], self.spec.axis_centers(1)[j]])
-        contr = {1: True, 0: False, -1: None}[int(self.contractive[i, j])]
-        return PointVerdict(
-            anchor=anchor,
-            a_norm=float(self.a_norm[i, j]),
-            b_norm=float(self.b_norm[i, j]),
-            eigenvalues=self.eigenvalues[i, j].copy(),
-            dissipative=bool(self.dissipative[i, j]),
-            contractive_affine=contr,
-            error=self.errors.get((i, j)),
-        )
-
-    @property
-    def cells(self):
-        """2-D nested list of PointVerdict, shaped [resolution][resolution]."""
-        r = self.resolution
-        return [[self.cell(i, j) for j in range(r)] for i in range(r)]
-
     def summary(self) -> dict:
-        return _grid_summary(self.a_norm, self.dissipative, len(self.errors))
+        """Cell counts and norm range; norms are None when every cell is an error."""
+        n_diss = int(np.count_nonzero(self.dissipative))
+        errors = int(np.count_nonzero(self.error))
+        total = self.a_norm.size
+        finite = self.a_norm[~self.error]
+        return {
+            "cells": total,
+            "dissipative": n_diss,
+            "non_dissipative": total - n_diss - errors,
+            "errors": errors,
+            "fraction_dissipative": n_diss / total,
+            "max_a_norm": float(np.max(finite)) if finite.size else None,
+            "min_a_norm": float(np.min(finite)) if finite.size else None,
+        }
 
     def worst_cell(self):
         """(i, j, a_norm) of the largest finite a_norm, or None."""
-        return _worst_cell(self.a_norm)
-
-
-def _grid_summary(a_norm: np.ndarray, dissipative: np.ndarray, errors: int) -> dict:
-    """Cell counts and norm range of a grid's fields; norms are None when
-    no cell has a finite one."""
-    n_diss = int(np.count_nonzero(dissipative))
-    total = a_norm.size
-    finite = a_norm[np.isfinite(a_norm)]
-    return {
-        "cells": total,
-        "dissipative": n_diss,
-        "non_dissipative": total - n_diss - errors,
-        "errors": errors,
-        "fraction_dissipative": n_diss / total,
-        "max_a_norm": float(np.max(finite)) if finite.size else None,
-        "min_a_norm": float(np.min(finite)) if finite.size else None,
-    }
-
-
-def _worst_cell(a_norm: np.ndarray):
-    """(i, j, a_norm) of the largest finite entry of a (res, res) field, or None."""
-    masked = np.where(np.isfinite(a_norm), a_norm, -np.inf)
-    if not np.isfinite(masked).any():
-        return None
-    i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
-    return int(i), int(j), float(masked[i, j])
+        if self.error.all():
+            return None
+        masked = np.where(self.error, -np.inf, self.a_norm)
+        i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
+        return int(i), int(j), float(masked[i, j])
 
 
 def _require_square(net: MlpNetwork) -> None:
@@ -213,88 +195,47 @@ def _require_square(net: MlpNetwork) -> None:
         )
 
 
-def _batched_fields(net: MlpNetwork, anchors: np.ndarray, mode: str):
-    """Shared vectorized core: the A(x) stack, per-anchor norms, flags, errors.
-
-    An anchor is an error when its A(x), ||A|| or ||b|| is non-finite (a
-    non-finite A has a nan norm).
-    """
-    n = anchors.shape[0]
-    with np.errstate(invalid="ignore", over="ignore"):
-        a, b = extract_pwa_batch(net, anchors, mode=mode)[:2]
-    a_norm = linalg._spectral_norm_batch(a)
-    with np.errstate(invalid="ignore", over="ignore"):
-        b_norm = np.sqrt(np.sum(b * b, axis=1))
-    bad = ~np.isfinite(a_norm) | ~np.isfinite(b_norm)
-    a_upper = linalg.sigma_upper(a_norm, a.shape)
-
-    x_norm = np.sqrt(np.sum(anchors * anchors, axis=1))
-    contractive = np.full(n, -1, dtype=np.int8)
-    defined = x_norm >= _ORIGIN_TOL
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ok = a_upper < 1.0 - b_norm / np.where(defined, x_norm, 1.0)
-    contractive[defined & ok] = 1
-    contractive[defined & ~ok] = 0
-    return (a,) + _mark_errors(a_norm, b_norm, a_upper < 1.0, contractive, bad)
-
-
-def _mark_errors(a_norm, b_norm, dissipative, contractive, bad):
-    """The fields with error anchors set to nan norms, not dissipative, not contractive."""
-    return (np.where(bad, np.nan, a_norm), np.where(bad, np.nan, b_norm),
-            dissipative & ~bad, np.where(bad, np.int8(0), contractive), bad)
-
-
-def _fields_with_eigenvalues(net: MlpNetwork, anchors: np.ndarray, mode: str):
-    """_batched_fields with the sorted eigenvalues in place of A(x).
-
-    An anchor whose eigenvalues failed is an error too; an error anchor's
-    eigenvalues are nan.
-    """
-    a, *fields, bad = _batched_fields(net, anchors, mode)
-    eigs = linalg._eigenvalues_batch(a)
-    bad = bad | np.isnan(eigs).any(axis=1)
-    eigs[bad] = np.nan
-    return (eigs,) + _mark_errors(*fields, bad)
-
-
-def verdicts_at(net: MlpNetwork, anchors, mode: str = "linear") -> list[PointVerdict]:
-    """Pointwise verdicts over an arbitrary anchor set (any state dim)."""
+def verdicts_at(net: MlpNetwork, anchors, mode: str = "linear") -> Verdicts:
+    """Pointwise verdicts over an (n, dim) anchor set, any state dim."""
     _require_square(net)
     anchors = np.asarray(anchors, dtype=float)
     if anchors.ndim != 2 or anchors.shape[1] != net.input_dim:
         raise ValueError(
             f"anchors must be (n, {net.input_dim}), got shape {anchors.shape}"
         )
-    eigs, a_norm, b_norm, diss, contr, bad = _fields_with_eigenvalues(net, anchors, mode)
-    out = []
-    for k in range(anchors.shape[0]):
-        out.append(
-            PointVerdict(
-                anchor=anchors[k],
-                a_norm=float(a_norm[k]),
-                b_norm=float(b_norm[k]),
-                eigenvalues=eigs[k],
-                dissipative=bool(diss[k]),
-                contractive_affine={1: True, 0: False, -1: None}[int(contr[k])],
-                error=_ERROR if bad[k] else None,
-            )
-        )
-    return out
+    with np.errstate(invalid="ignore", over="ignore"):
+        a, b = extract_pwa_batch(net, anchors, mode=mode)[:2]
+    a_norm = linalg._spectral_norm_batch(a)
+    with np.errstate(invalid="ignore", over="ignore"):
+        b_norm = np.sqrt(np.sum(b * b, axis=1))
+    # A non-finite A has a nan norm.
+    error = ~np.isfinite(a_norm) | ~np.isfinite(b_norm)
+    a_upper = linalg.sigma_upper(a_norm, a.shape)
 
-
-def point_verdict(net: MlpNetwork, x, mode: str = "linear") -> PointVerdict:
-    """Evaluate the pointwise stability facts at one anchor (a batch of one)."""
-    return verdicts_at(net, [x], mode)[0]
+    x_norm = np.sqrt(np.sum(anchors * anchors, axis=1))
+    defined = x_norm >= _ORIGIN_TOL
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ok = a_upper < 1.0 - b_norm / np.where(defined, x_norm, 1.0)
+    contractive = np.where(defined, ok.astype(np.int8), np.int8(-1))
+    contractive[error] = 0
+    return Verdicts(
+        anchors=anchors,
+        a=a,
+        a_norm=np.where(error, np.nan, a_norm),
+        b_norm=np.where(error, np.nan, b_norm),
+        dissipative=(a_upper < 1.0) & ~error,
+        contractive=contractive,
+        error=error,
+    )
 
 
 def certify_region(
     net: MlpNetwork, grid: GridSpec | None = None, mode: str = "linear"
 ) -> GridAnalysis:
-    """Sweep a 2-D grid of cell centers and record per-cell verdicts.
+    """Verdicts at the cell centers of a 2-D grid.
 
-    Per-cell numerical failures (overflowed decompositions, norms or
-    eigenvalues LAPACK failed on) become error markers on those cells; the
-    sweep always completes.
+    Per-cell numerical failures (overflowed decompositions or norms) become
+    error cells; the sweep always completes.
     """
     _require_square(net)
     if net.input_dim != 2:
@@ -303,23 +244,13 @@ def certify_region(
             f"{net.input_dim}; use verdicts_at with sampled anchors instead"
         )
     grid = grid or GridSpec()
-    anchors = grid.cell_centers()
-    eigs, a_norm, b_norm, diss, contr, bad = _fields_with_eigenvalues(net, anchors, mode)
-
+    verdicts = verdicts_at(net, grid.cell_centers(), mode)
     r = grid.resolution
-    errors = {
-        (int(k) // r, int(k) % r): _ERROR for k in np.flatnonzero(bad)
-    }
-    return GridAnalysis(
-        spec=grid,
-        mode=mode,
-        a_norm=a_norm.reshape(r, r),
-        b_norm=b_norm.reshape(r, r),
-        eigenvalues=eigs.reshape(r, r, -1),
-        dissipative=diss.reshape(r, r),
-        contractive=contr.reshape(r, r),
-        errors=errors,
-    )
+    shaped = {}
+    for f in fields(Verdicts):
+        value = getattr(verdicts, f.name)
+        shaped[f.name] = value.reshape((r, r) + value.shape[1:])
+    return GridAnalysis(spec=grid, mode=mode, **shaped)
 
 
 def layerwise_certificate(
@@ -446,9 +377,7 @@ def write_grid_csv(analysis: GridAnalysis, path) -> None:
     column.
     """
     r = analysis.resolution
-    failed = np.zeros((r, r), dtype=bool)
-    for i, j in analysis.errors:
-        failed[i, j] = True
+    failed = analysis.error
     centers = analysis.spec.cell_centers()
     eig = analysis.eigenvalues[:, :, 0]
     artifacts.write_csv(path, (
@@ -466,7 +395,7 @@ def write_grid_csv(analysis: GridAnalysis, path) -> None:
         artifacts.blank(failed, artifacts.numbers(eig.imag)),
         artifacts.blank(failed, artifacts.json_pairs(
             np.abs(analysis.eigenvalues).reshape(r * r, -1)), "[]"),
-        (analysis.errors.get(divmod(k, r), "") for k in range(r * r)),
+        (_ERROR if bad else "" for bad in failed.ravel()),
     ), lineterminator="\n")
 
 
@@ -485,7 +414,7 @@ def write_grid_json(analysis: GridAnalysis, path) -> None:
         "eigenvalues_re": analysis.eigenvalues.real,
         "eigenvalues_im": analysis.eigenvalues.imag,
         "errors": [
-            {"i": i, "j": j, "message": msg}
-            for (i, j), msg in sorted(analysis.errors.items())
+            {"i": int(i), "j": int(j), "message": _ERROR}
+            for i, j in np.argwhere(analysis.error)
         ],
     })

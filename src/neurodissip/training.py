@@ -675,11 +675,12 @@ def train(model, data: TrainingData, config: TrainConfig) -> TrainReport:
         reg_values.append(float(np.mean(batch_regs)))
         dev_loss = open_loop_mse(realized, dev_states, dev_inputs)
         dev_losses.append(dev_loss)
-        if dev_loss < best_dev:
-            best_epoch, best_dev, best_model = epoch, dev_loss, realized
+        # Epoch 0 stands until a finite dev loss beats it; min keeps a
+        # nan loss from blocking every later one.
+        if best_model is None or dev_loss < best_dev:
+            best_epoch, best_model = epoch, realized
+            best_dev = min(best_dev, dev_loss)
 
-    if best_model is None:
-        best_epoch, best_model = 0, realized
     return TrainReport(
         train_losses=train_losses,
         dev_losses=dev_losses,

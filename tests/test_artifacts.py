@@ -44,6 +44,9 @@ from neurodissip.training import (
 
 # --- the replaced writers, verbatim ---------------------------------------------
 
+GRID_ERROR = "non-finite decomposition or norm did not converge"
+
+
 def _csv_float(x: float) -> str:
     return repr(float(x))
 
@@ -58,8 +61,7 @@ def reference_write_grid_csv(analysis, path) -> None:
     ]
     for i in range(r):
         for j in range(r):
-            err = analysis.errors.get((i, j))
-            if err is None:
+            if not analysis.error[i, j]:
                 eig = analysis.eigenvalues[i, j]
                 moduli = json.dumps([float(m) for m in np.abs(eig)])
                 contr = int(analysis.contractive[i, j])
@@ -77,7 +79,7 @@ def reference_write_grid_csv(analysis, path) -> None:
                 ]
             else:
                 row = [_csv_float(xs[i]), _csv_float(ys[j]),
-                       "", "", "false", "", "", "", '"[]"', err]
+                       "", "", "false", "", "", "", '"[]"', GRID_ERROR]
             lines.append(",".join(row))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -97,8 +99,8 @@ def reference_write_grid_json(analysis, path) -> None:
         "eigenvalues_re": reference_nan_to_none(analysis.eigenvalues.real),
         "eigenvalues_im": reference_nan_to_none(analysis.eigenvalues.imag),
         "errors": [
-            {"i": i, "j": j, "message": msg}
-            for (i, j), msg in sorted(analysis.errors.items())
+            {"i": i, "j": j, "message": GRID_ERROR}
+            for i, j in np.argwhere(analysis.error).tolist()
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -332,7 +334,7 @@ class TestGridWriters:
         # Odd resolution on a symmetric range puts a cell center on the origin.
         analysis = certify_region(net, GridSpec((-1.0, 1.0), (-1.0, 1.0), 5))
         assert analysis.contractive[2, 2] == -1
-        assert not analysis.errors
+        assert not analysis.error.any()
         table = same_bytes(tmp_path, "grid.csv", write_grid_csv,
                            reference_write_grid_csv, analysis)
         assert b"\r" not in table
@@ -344,11 +346,12 @@ class TestGridWriters:
         net = MlpNetwork(layers=(Layer(weight=big, activation="relu"),
                                  Layer(weight=big, activation="relu")))
         analysis = certify_region(net, GridSpec((-1.0, 1.0), (-1.0, 1.0), 5))
-        assert 0 < len(analysis.errors) < 25
+        errors = int(np.count_nonzero(analysis.error))
+        assert 0 < errors < 25
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         write_grid_csv(analysis, new)
         reference_write_grid_csv(analysis, old)
-        assert old.read_bytes().count(b',"[]",') == len(analysis.errors)
+        assert old.read_bytes().count(b',"[]",') == errors
         assert new.read_bytes() == old.read_bytes().replace(b',"[]",', b",[],")
         same_bytes(tmp_path, "grid.json", write_grid_json,
                    reference_write_grid_json, analysis)

@@ -618,6 +618,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--kinds", "spectral"), ("--depths", "5"), ("--bounds", "0.5:0.9"),
+        ("--depths", "x"), ("--bounds", "a:b"),
     ])
     def test_filter_value_outside_study_rejected(self, tmp_path, capsys,
                                                  flag, value):

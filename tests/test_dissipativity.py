@@ -14,7 +14,6 @@ from neurodissip.dissipativity import (
     equilibrium_bounds,
     layerwise_certificate,
     lhs_anchors,
-    point_verdict,
     verdicts_at,
     write_grid_csv,
     write_grid_json,
@@ -39,43 +38,45 @@ def scaled_tanh_net(rng, dims, scale):
 
 
 class TestPointVerdict:
+    """verdicts_at on a batch of one is the single-point API."""
+
     def test_contractive_linear(self):
-        v = point_verdict(linear_net(0.5 * np.eye(2)), [3.0, 1.0])
-        assert v.a_norm == pytest.approx(0.5, abs=1e-10)
-        assert v.dissipative
-        assert v.b_norm == 0.0
-        np.testing.assert_allclose(v.eigenvalues, [0.5, 0.5], atol=1e-12)
+        v = verdicts_at(linear_net(0.5 * np.eye(2)), [[3.0, 1.0]])
+        assert v.a_norm[0] == pytest.approx(0.5, abs=1e-10)
+        assert v.dissipative[0]
+        assert v.b_norm[0] == 0.0
+        np.testing.assert_allclose(v.eigenvalues[0], [0.5, 0.5], atol=1e-12)
 
     def test_expanding_linear(self):
-        v = point_verdict(linear_net(2.0 * np.eye(2)), [1.0, 0.0])
-        assert v.a_norm == pytest.approx(2.0, abs=1e-9)
-        assert not v.dissipative
+        v = verdicts_at(linear_net(2.0 * np.eye(2)), [[1.0, 0.0]])
+        assert v.a_norm[0] == pytest.approx(2.0, abs=1e-9)
+        assert not v.dissipative[0]
 
     def test_contractive_affine_splits_on_bias(self):
         net = linear_net(0.5 * np.eye(2), b=[1.0, 0.0])
-        near = point_verdict(net, [0.5, 0.0])   # 0.5 < 1 - 1/0.5 fails
-        far = point_verdict(net, [10.0, 0.0])   # 0.5 < 1 - 1/10 holds
-        assert near.contractive_affine is False
-        assert far.contractive_affine is True
+        # 0.5 < 1 - 1/0.5 fails at the first anchor, 0.5 < 1 - 1/10 holds
+        # at the second.
+        v = verdicts_at(net, [[0.5, 0.0], [10.0, 0.0]])
+        assert v.contractive.tolist() == [0, 1]
 
     def test_contractive_affine_undefined_at_origin(self):
-        v = point_verdict(linear_net(0.5 * np.eye(2)), [0.0, 0.0])
-        assert v.contractive_affine is None
+        v = verdicts_at(linear_net(0.5 * np.eye(2)), [[0.0, 0.0]])
+        assert v.contractive[0] == -1
 
     def test_rejects_non_square(self):
         net = MlpNetwork(layers=(Layer(weight=np.ones((1, 2))),))
         with pytest.raises(ValueError, match="square"):
-            point_verdict(net, [1.0, 1.0])
+            verdicts_at(net, [[1.0, 1.0]])
 
     def test_one_step_dissipation_inequality(self):
         rng = np.random.default_rng(0)
         net = scaled_tanh_net(rng, [2, 4, 2], 0.8)
-        for _ in range(50):
-            x = rng.uniform(-6.0, 6.0, 2)
-            v = point_verdict(net, x)
-            assert v.dissipative
+        xs = rng.uniform(-6.0, 6.0, (50, 2))
+        v = verdicts_at(net, xs)
+        assert v.dissipative.all()
+        for x, b_norm in zip(xs, v.b_norm):
             gain = np.linalg.norm(net.forward(x)) - np.linalg.norm(x)
-            assert gain <= v.b_norm + 1e-9
+            assert gain <= b_norm + 1e-9
 
     def test_one_step_contraction_where_flagged(self):
         rng = np.random.default_rng(1)
@@ -83,14 +84,11 @@ class TestPointVerdict:
             Layer(weight=0.4 * np.eye(2), bias=np.array([0.1, -0.05]),
                   activation="tanh"),
         ))
-        hits = 0
-        for _ in range(100):
-            x = rng.uniform(-5.0, 5.0, 2)
-            v = point_verdict(net, x)
-            if v.contractive_affine:
-                hits += 1
-                assert np.linalg.norm(net.forward(x)) < np.linalg.norm(x)
-        assert hits > 0
+        xs = rng.uniform(-5.0, 5.0, (100, 2))
+        flagged = xs[verdicts_at(net, xs).contractive == 1]
+        assert len(flagged) > 0
+        for x in flagged:
+            assert np.linalg.norm(net.forward(x)) < np.linalg.norm(x)
 
 
 class TestGrid:
@@ -110,17 +108,36 @@ class TestGrid:
         res = certify_region(net, GridSpec(resolution=5))
         for i in (0, 2, 4):
             for j in (1, 3):
-                cell = res.cell(i, j)
-                ref = point_verdict(net, cell.anchor)
-                assert cell.a_norm == pytest.approx(ref.a_norm, rel=1e-9)
-                assert cell.dissipative == ref.dissipative
-                np.testing.assert_allclose(cell.eigenvalues, ref.eigenvalues,
+                anchor = res.anchors[i, j]
+                np.testing.assert_array_equal(
+                    anchor, [res.spec.axis_centers(0)[i], res.spec.axis_centers(1)[j]])
+                ref = verdicts_at(net, [anchor])
+                assert res.a_norm[i, j] == pytest.approx(ref.a_norm[0], rel=1e-9)
+                assert res.dissipative[i, j] == ref.dissipative[0]
+                np.testing.assert_allclose(res.eigenvalues[i, j], ref.eigenvalues[0],
                                            atol=1e-9)
 
-    def test_cells_property_shape(self):
+    def test_fields_are_shaped_to_the_grid(self):
         res = certify_region(linear_net(0.3 * np.eye(2)), GridSpec(resolution=3))
-        cells = res.cells
-        assert len(cells) == 3 and all(len(row) == 3 for row in cells)
+        for name in ("a_norm", "b_norm", "dissipative", "contractive", "error"):
+            assert getattr(res, name).shape == (3, 3)
+        assert res.anchors.shape == (3, 3, 2)
+        assert res.a.shape == (3, 3, 2, 2)
+        assert res.eigenvalues.shape == (3, 3, 2)
+
+    def test_eigenvalues_computed_on_first_read(self, monkeypatch):
+        net = linear_net(np.diag([0.5, -0.25]))
+        calls = []
+        real = linalg._eigenvalues_batch
+        monkeypatch.setattr(linalg, "_eigenvalues_batch",
+                            lambda a: calls.append(len(a)) or real(a))
+        v = verdicts_at(net, [[1.0, 0.0], [0.0, 2.0], [3.0, 3.0]])
+        res = certify_region(net, GridSpec(resolution=4))
+        assert calls == []
+        np.testing.assert_array_equal(v.eigenvalues, [[0.5, -0.25]] * 3)
+        assert v.eigenvalues is v.eigenvalues
+        assert res.eigenvalues.shape == (4, 4, 2)
+        assert calls == [3, 16]
 
     def test_shared_anchor_refinement_is_bit_identical(self):
         rng = np.random.default_rng(3)
@@ -150,10 +167,11 @@ class TestGrid:
             Layer(weight=1e200 * np.eye(2), activation="identity"),
         ))
         res = certify_region(net, GridSpec(resolution=3))
-        assert len(res.errors) == 9
+        assert res.error.all()
         assert not res.dissipative.any()
-        assert res.cell(0, 0).error is not None
-        assert point_verdict(net, [1.0, 1.0]).error is not None
+        assert (res.contractive == 0).all()
+        assert np.isnan(res.a_norm).all() and np.isnan(res.eigenvalues).all()
+        assert verdicts_at(net, [[1.0, 1.0]]).error[0]
 
     def test_all_error_summary_reports_null_norms(self, tmp_path):
         net = MlpNetwork(layers=(
@@ -182,8 +200,9 @@ class TestGrid:
         net = linear_net(0.5 * np.eye(4))
         anchors = lhs_anchors(4, 50, (-6.0, 6.0), seed=0)
         verdicts = verdicts_at(net, anchors)
-        assert len(verdicts) == 50
-        assert all(v.dissipative for v in verdicts)
+        assert verdicts.dissipative.shape == (50,)
+        assert verdicts.dissipative.all()
+        assert verdicts.eigenvalues.shape == (50, 4)
 
     def test_lhs_anchors_stratified(self):
         anchors = lhs_anchors(3, 100, (0.0, 1.0), seed=1)
@@ -246,24 +265,31 @@ class TestRoundingMargin:
     @pytest.mark.parametrize("top, holds", [(1.0 - EPS, False), (1.0 - 1e-6, True)])
     def test_strict_verdicts_need_the_margin(self, n, top, holds):
         d = np.diag([top] + [0.5] * (n - 1))
-        v = point_verdict(linear_net(d), np.ones(n))
-        assert v.a_norm < 1.0  # the reported norm stays the computed one
-        assert v.dissipative is holds
-        assert v.contractive_affine is holds
+        v = verdicts_at(linear_net(d), [np.ones(n)])
+        assert v.a_norm[0] < 1.0  # the reported norm stays the computed one
+        assert v.dissipative[0] == holds
+        assert v.contractive[0] == holds
         cert = layerwise_certificate(
             MlpNetwork(layers=(Layer(weight=d, activation="relu"),)))
         assert cert.certified is holds
         assert cert.certified_relaxed
 
-    def test_eigenvalue_failures_become_error_anchors(self, monkeypatch):
+    def test_eigenvalue_failures_keep_the_norm_verdict(self, monkeypatch):
+        # An anchor is an error only when A(x) or a norm is non-finite; an
+        # eigenvalue failure leaves its verdict standing and reads nan.
         def failing_eigvals(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
         rng = np.random.default_rng(8)
         net = scaled_tanh_net(rng, [3, 4, 3], 0.9)
-        verdicts = verdicts_at(net, rng.standard_normal((5, 3)))
-        assert all(v.error is not None and not v.dissipative for v in verdicts)
+        anchors = rng.standard_normal((5, 3))
+        want = verdicts_at(net, anchors)
+        monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+        got = verdicts_at(net, anchors)
+        assert not got.error.any() and got.dissipative.all()
+        np.testing.assert_array_equal(got.a_norm, want.a_norm)
+        np.testing.assert_array_equal(got.contractive, want.contractive)
+        assert np.isnan(got.eigenvalues).all()
 
 
 class TestEquilibriumBounds:
@@ -331,7 +357,7 @@ class TestPenalty:
         ))
         anchors = rng.uniform(-4.0, 4.0, (30, 2))
         want = np.mean([
-            max(1.0, point_verdict(net, x).a_norm) for x in anchors
+            max(1.0, verdicts_at(net, [x]).a_norm[0]) for x in anchors
         ])
         got, _ = dissipativity_penalty(net, anchors)
         assert got == pytest.approx(want, rel=1e-9)

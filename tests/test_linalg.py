@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from neurodissip import linalg
-from neurodissip.dissipativity import point_verdict
+from neurodissip.dissipativity import verdicts_at
 from neurodissip.linalg import eigenvalues, spectral_norm, svd
 from neurodissip.network import Layer, MlpNetwork
 
@@ -146,7 +146,7 @@ class TestNearUnit:
         for a in stack:
             assert spectral_norm(a) >= 1.0
             net = MlpNetwork(layers=(Layer(weight=a),))
-            assert not point_verdict(net, np.ones(n)).dissipative
+            assert not verdicts_at(net, [np.ones(n)]).dissipative[0]
 
 
 class TestEigenvalues:
@@ -245,6 +245,19 @@ class TestEigenvalues:
         for row, ref in zip(got, want):
             np.testing.assert_allclose(np.sort_complex(row), np.sort_complex(ref),
                                        rtol=1e-10, atol=1e-10 * scale)
+
+    def test_batched_2x2_finite_stacks_give_no_nan(self):
+        # Verdicts rely on this: a finite A(x) never reads nan eigenvalues,
+        # from subnormal entries up to the float maximum.
+        rng = np.random.default_rng(14)
+        big = np.finfo(float).max
+        scaled = [10.0 ** k * rng.uniform(-1.0, 1.0, (500, 2, 2))
+                  for k in range(-320, 309, 4)]
+        extremes = np.array([-big, -1.0, -5e-324, 0.0, 5e-324, 1.0, big])
+        corners = np.stack(np.meshgrid(*[extremes] * 4, indexing="ij"), axis=-1)
+        stack = np.concatenate(scaled + [corners.reshape(-1, 2, 2)])
+        assert np.isfinite(stack).all()
+        assert not np.isnan(linalg._eigenvalues_batch(stack)).any()
 
     def test_batched_wider_sorted_from_known_spectra(self):
         # Similar to diagonal and rotation blocks, so the spectra are known.

@@ -363,6 +363,27 @@ class TestTrainLoop:
         assert open_loop_mse(report.best_model, *dev) == report.best_dev_loss
         assert open_loop_mse(report.final_model, *dev) == report.dev_losses[-1]
 
+    def test_all_infinite_dev_losses_select_epoch_zero(self):
+        # x+ = 4x over the 860-sample dev split overflows, so every
+        # epoch's dev loss is inf and the epoch-0 model must be selected.
+        data = TrainingData(
+            states=np.ones((900, 1)), inputs=np.ones((900, 1)),
+            splits={"train": (0, 20), "dev": (20, 880), "test": (880, 900)},
+        )
+        model = linear_ssm([[4.0]], [[0.0]])
+
+        def run(epochs):
+            return train(model, data, TrainConfig(
+                horizon=1, batch=64, epochs=epochs, learning_rate=1e-4,
+                optimizer="sgd", seed=0))
+
+        report, epoch_zero = run(3), run(1)
+        assert report.dev_losses == [np.inf] * 3
+        assert report.best_epoch == 0
+        assert report.best_model is not report.final_model
+        np.testing.assert_array_equal(report.best_model.f_net.layers[0].weight,
+                                      epoch_zero.final_model.f_net.layers[0].weight)
+
     def test_divergence_aborts_with_diagnostics(self):
         data = linear_plant_data([[0.9]], [[1.0]], samples=120, seed=5)
         model = BlockSSM(f_net=make_mlp((1, 4, 1), seed=3),
