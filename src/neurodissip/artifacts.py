@@ -2,7 +2,8 @@
 
 Numbers are ``repr`` of the float64, which reads back to the same double.
 A CSV table is a header plus one iterable per column, zipped into rows as
-the file is written, so ``numbers`` formats a value only when its row is.
+the file is written, so ``numbers`` formats a value only when its row is;
+``Numbers`` formats an array once for several files that write it.
 JSON documents are indented by two spaces and end with a newline; they
 are ``json.dumps(doc, indent=2)``, byte for byte, and may also hold float,
 int and bool ndarrays, written as nested lists with NaN as ``null``.
@@ -24,6 +25,16 @@ def number(value) -> str:
 def numbers(values):
     """Lazy column of the float64 values of an array, row-major."""
     return map(repr, np.asarray(values, dtype=float).ravel().tolist())
+
+
+class Numbers:
+    """A float array with the ``repr`` of each value formatted once, for
+    several writers: a CSV column iterates ``fields`` (row-major) or a
+    slice of it, and ``write_json`` writes the array from them."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.fields = list(map(repr, self.values.ravel().tolist()))
 
 
 def repeated_numbers(values):
@@ -93,6 +104,8 @@ def _json(value, sort_keys: bool, newline: str) -> str:
         return _JSON_NON_FINITE.get(text, text)
     if isinstance(value, np.ndarray):
         return _json_array(value, newline)
+    if isinstance(value, Numbers):
+        return _json_array(value.values, newline, value.fields)
     inner = newline + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -124,10 +137,12 @@ def _json_key(key) -> str:
                     f"not {type(key).__name__}")
 
 
-def _json_array(arr: np.ndarray, newline: str) -> str:
-    """A float, int or bool ndarray as its ``tolist``, with NaN as null."""
+def _json_array(arr: np.ndarray, newline: str, fields=None) -> str:
+    """A float, int or bool ndarray as its ``tolist``, with NaN as null;
+    a float array's ``repr`` fields may come already formatted."""
     if arr.dtype.kind == "f":
-        fields = list(map(repr, arr.astype(float).ravel().tolist()))
+        if fields is None:
+            fields = list(map(repr, arr.astype(float).ravel().tolist()))
         if not np.isfinite(arr).all():
             fields = [_JSON_ARRAY_NON_FINITE.get(f, f) for f in fields]
     elif arr.dtype.kind == "b":

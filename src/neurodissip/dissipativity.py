@@ -178,6 +178,15 @@ class GridAnalysis(Verdicts):
             "min_a_norm": float(np.min(finite)) if finite.size else None,
         }
 
+    @cached_property
+    def _numbers(self) -> dict:
+        """The number fields grid.csv and grid.json share, formatted once."""
+        eigs = self.eigenvalues
+        return {name: artifacts.Numbers(values) for name, values in (
+            ("a_norm", self.a_norm), ("b_norm", self.b_norm),
+            ("eig_re", eigs.real), ("eig_im", eigs.imag),
+        )}
+
     def worst_cell(self):
         """(i, j, a_norm) of the largest finite a_norm, or None."""
         if self.error.all():
@@ -379,20 +388,22 @@ def write_grid_csv(analysis: GridAnalysis, path) -> None:
     r = analysis.resolution
     failed = analysis.error
     centers = analysis.spec.cell_centers()
-    eig = analysis.eigenvalues[:, :, 0]
+    nums = analysis._numbers
+    # The eigenvalue fields run over (i, j, k); column k = 0 is the largest.
+    n = analysis.eigenvalues.shape[-1]
     artifacts.write_csv(path, (
         "x1", "x2", "a_norm", "b_norm", "dissipative", "contractive_affine",
         "max_eig_re", "max_eig_im", "eig_moduli", "error",
     ), (
         artifacts.repeated_numbers(centers[:, 0]),
         artifacts.repeated_numbers(centers[:, 1]),
-        artifacts.blank(failed, artifacts.numbers(analysis.a_norm)),
-        artifacts.blank(failed, artifacts.numbers(analysis.b_norm)),
+        artifacts.blank(failed, nums["a_norm"].fields),
+        artifacts.blank(failed, nums["b_norm"].fields),
         artifacts.flags(analysis.dissipative),
         artifacts.blank(failed | (analysis.contractive == -1),
                         artifacts.flags(analysis.contractive == 1)),
-        artifacts.blank(failed, artifacts.numbers(eig.real)),
-        artifacts.blank(failed, artifacts.numbers(eig.imag)),
+        artifacts.blank(failed, nums["eig_re"].fields[::n]),
+        artifacts.blank(failed, nums["eig_im"].fields[::n]),
         artifacts.blank(failed, artifacts.json_pairs(
             np.abs(analysis.eigenvalues).reshape(r * r, -1)), "[]"),
         (_ERROR if bad else "" for bad in failed.ravel()),
@@ -401,18 +412,19 @@ def write_grid_csv(analysis: GridAnalysis, path) -> None:
 
 def write_grid_json(analysis: GridAnalysis, path) -> None:
     """Full-structure JSON export of a grid analysis."""
+    nums = analysis._numbers
     artifacts.write_json(path, {
         "mode": analysis.mode,
         "x_range": list(analysis.spec.x_range),
         "y_range": list(analysis.spec.y_range),
         "resolution": analysis.resolution,
         "summary": analysis.summary(),
-        "a_norm": analysis.a_norm,
-        "b_norm": analysis.b_norm,
+        "a_norm": nums["a_norm"],
+        "b_norm": nums["b_norm"],
         "dissipative": analysis.dissipative,
         "contractive_affine": analysis.contractive,
-        "eigenvalues_re": analysis.eigenvalues.real,
-        "eigenvalues_im": analysis.eigenvalues.imag,
+        "eigenvalues_re": nums["eig_re"],
+        "eigenvalues_im": nums["eig_im"],
         "errors": [
             {"i": int(i), "j": int(j), "message": _ERROR}
             for i, j in np.argwhere(analysis.error)

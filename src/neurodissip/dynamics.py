@@ -8,10 +8,14 @@ quasi-periodic tails both land in undetermined with a tail bounding box,
 since no finite-horizon test separates them robustly.
 
 One batched stepper applies these halting rules: basin_map runs it on a
-grid of initial conditions, and rollout is its batch of one.  basin_map
-clusters the observed limit points (including every state of a detected
-limit cycle) within a 1e-4 radius, so a two-point cycle counts as two
-distinct limits.
+grid of initial conditions, and rollout is its batch of one.  The
+stepper steps each distinct state once: trajectories that reach the same
+state bits (with the same convergence run) share one row from then on,
+so a basin whose cells fall onto a few attractors soon steps only a few
+rows, and basin_map detects the cycle of a tail that such cells share
+once.  basin_map clusters the observed limit points (including every
+state of a detected limit cycle) within a 1e-4 radius, so a two-point
+cycle counts as two distinct limits.
 """
 
 from __future__ import annotations
@@ -55,6 +59,12 @@ DEFAULT_CLUSTER_TOL = 1e-4
 _HALT_HORIZON = "horizon"
 _HALT_CONVERGED = "converged"
 _HALT_DIVERGED = "diverged"
+
+# Steps between checks for trajectories that share a state; the gap
+# doubles after a check that finds none.
+_MERGE_GAP = 16
+# Multiplier of the int64 hash the check sorts rows by.
+_HASH_PRIME = 1000003
 
 
 @dataclass(frozen=True)
@@ -167,8 +177,9 @@ def rollout(
     """Iterate the network from x0, halting early on the standard rules.
 
     This is the batch of one of basin_map's stepper, so a rollout and a
-    basin cell from the same start halt at the same step, in the same
-    state.
+    basin cell from the same start share the halting rules, but not
+    always the bits: a one-row product may round differently from the
+    same row in a larger batch, and the states then drift apart.
     """
     if net.output_dim != net.input_dim:
         raise ValueError(
@@ -180,7 +191,7 @@ def rollout(
     x = linalg.as_vector(x0, "x0")
     # One trajectory with a window of steps + 1 has shift 0, so the ring
     # holds the whole trajectory in order.
-    ring, _, halts, ends = _rollout_tails(net, x[None], steps, steps + 1)
+    ring, _, halts, ends, _ = _rollout_tails(net, x[None], steps, steps + 1)
     states, halt = ring[: ends[0] + 1, 0], halts[0]
     cls, limit, period, bounds = _classify(states, halt, cycle_tol, max_period)
     return Trajectory(
@@ -219,57 +230,122 @@ def _cluster(points: np.ndarray, tol: float):
     return ids, np.array(reps).reshape(-1, dim)
 
 
+def _shared_rows(cur: np.ndarray, consec: np.ndarray):
+    """Group rows whose state bits and convergence-run count are equal.
+
+    Returns (first, inverse): the kept rows and, for each row, its group's
+    index into them; None when every row is distinct.  Rows are sorted by a
+    hash of their key and compared in full with their sorted neighbour, so
+    a hash collision can only hide a merge, never make a false one.
+    """
+    bits = cur.view(np.int64)
+    key = consec * _HASH_PRIME
+    for column in bits.T:
+        key = (key ^ column) * _HASH_PRIME
+    order = np.argsort(key)
+    ordered = bits[order]
+    same = (ordered[1:] == ordered[:-1]).all(axis=1)
+    same &= consec[order[1:]] == consec[order[:-1]]
+    if not same.any():
+        return None
+    new = np.concatenate(([True], ~same))
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def _rollout_tails(net: MlpNetwork, starts: np.ndarray, steps: int, window: int):
     """Batched rollout keeping a ring buffer of each trajectory's tail.
 
     Every running trajectory has made the same number of steps, so state t
     of each goes to ring slot (t + shift) % window, with the shift chosen
     so that a trajectory reaching the horizon ends with its last ``window``
-    states in slot order.  Rows are dropped from the batch only on a step
-    where some trajectory halts.  Returns (ring, final, halts, ends):
+    states in slot order.  Returns (ring, final, halts, ends, tail_rows):
     ring[:, k] is the ordered tail of trajectory k if it ran to the
     horizon, final[k] its last state if it halted early, halts[k] its halt
     label and ends[k] the step it halted at (steps at the horizon).
+
+    Trajectories that meet are stepped once: each distinct running
+    (state bits, convergence-run count) is one row of the stepper, and
+    ``row_of`` maps every running trajectory to its row (None while each
+    is its own row).  The ring gathers every trajectory's state from its
+    row, and halting is judged per row and fanned out.  Rows are merged
+    on a check every ``_MERGE_GAP`` steps; the gap doubles after a check
+    that finds nothing.  While two or more trajectories run, at least two
+    rows are stepped, because a one-row product may round differently
+    from the same row in a larger one.  A batch of one never merges.
+    tail_rows[k] is the row trajectory k held at state steps + 1 - window,
+    where its tail begins (-1 if it had halted), so horizon trajectories
+    with equal labels have bit-equal tails.
     """
     n_traj, dim = starts.shape
     shift = (window - steps - 1) % window
+    tail_start = steps + 1 - window
     buf = np.empty((window, n_traj, dim))
     buf[shift] = starts
     final = np.empty_like(starts)
     halts = np.full(n_traj, _HALT_HORIZON, dtype=object)
     ends = np.full(n_traj, steps, dtype=np.int64)
+    tail_rows = np.full(n_traj, -1, dtype=np.int64)
+    if tail_start == 0:
+        tail_rows[:] = np.arange(n_traj)
     idx = np.arange(n_traj)
     cur = np.array(starts, dtype=float)
     consec = np.zeros(n_traj, dtype=np.int64)
+    row_of = None
+    gap = check = _MERGE_GAP
 
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, steps + 1):
-            nxt, _ = net.forward_trace(cur)
+            if cur.shape[0] == 1 < idx.size:
+                nxt = net.forward_trace(np.repeat(cur, 2, axis=0))[0][:1]
+            else:
+                nxt, _ = net.forward_trace(cur)
             norms = np.sqrt((nxt * nxt).sum(axis=1))
             steps_len = np.sqrt(((nxt - cur) ** 2).sum(axis=1))
-            if idx.size == n_traj:
-                buf[(t + shift) % window] = nxt
+            slot = buf[(t + shift) % window]
+            if idx.size < n_traj:
+                slot[idx] = nxt if row_of is None else nxt.take(row_of, axis=0)
+            elif row_of is None:
+                slot[...] = nxt
             else:
-                buf[(t + shift) % window, idx] = nxt
+                nxt.take(row_of, axis=0, out=slot)
 
             # A nan or infinite norm fails <= too, so it diverges.
             diverged = ~(norms <= DIVERGENCE_NORM)
             consec = np.where(steps_len < CONVERGENCE_TOL, consec + 1, 0)
             halted = diverged | (consec >= CONVERGENCE_RUN)
-            if not halted.any():
-                cur = nxt
-                continue
-            converged = halted & ~diverged
-            final[idx[halted]] = nxt[halted]
-            ends[idx[halted]] = t
-            halts[idx[diverged]] = _HALT_DIVERGED
-            halts[idx[converged]] = _HALT_CONVERGED
-            keep = ~halted
-            idx, cur, consec = idx[keep], nxt[keep], consec[keep]
-            if idx.size == 0:
-                break
+            cur = nxt
+            if halted.any():
+                keep = ~halted
+                cur, consec = nxt[keep], consec[keep]
+                if row_of is not None:
+                    # Each row's verdict holds for all its trajectories.
+                    halted, diverged = halted[row_of], diverged[row_of]
+                    row_of = (np.cumsum(keep) - 1)[row_of[~halted]]
+                out = idx[halted]
+                final[out] = slot[out]
+                ends[out] = t
+                halts[idx[diverged]] = _HALT_DIVERGED
+                halts[idx[halted & ~diverged]] = _HALT_CONVERGED
+                idx = idx[~halted]
+                if idx.size == 0:
+                    break
 
-    return buf, final, halts, ends
+            if t == check:
+                shared = _shared_rows(cur, consec) if cur.shape[0] > 1 else None
+                if shared is None:
+                    gap *= 2
+                else:
+                    first, inverse = shared
+                    cur, consec = cur[first], consec[first]
+                    row_of = inverse if row_of is None else inverse[row_of]
+                    gap = _MERGE_GAP
+                check = t + gap
+            if t == tail_start:
+                tail_rows[idx] = np.arange(idx.size) if row_of is None else row_of
+
+    return buf, final, halts, ends, tail_rows
 
 
 def basin_map(
@@ -291,15 +367,21 @@ def basin_map(
     grid = grid or GridSpec(resolution=40)
     starts = grid.cell_centers()
     window = min(steps + 1, 2 * max_period + 1)
-    ring, final, halts, _ = _rollout_tails(net, starts, steps, window)
+    ring, final, halts, _, tail_rows = _rollout_tails(net, starts, steps, window)
 
+    # Cells that shared a stepper row when their tail began have bit-equal
+    # tails, so each such group's cycle is detected once.
     n = starts.shape[0]
     periods = np.zeros(n, dtype=np.int64)
-    cycles = {}
-    for k in np.flatnonzero(halts == _HALT_HORIZON):
-        hit = _detect_cycle(ring[:, k], cycle_tol, max_period)
+    horizon = np.flatnonzero(halts == _HALT_HORIZON)
+    order = np.argsort(tail_rows[horizon])
+    edges = np.flatnonzero(np.diff(tail_rows[horizon[order]])) + 1
+    cycles = []
+    for cells in np.split(horizon[order], edges) if horizon.size else ():
+        hit = _detect_cycle(ring[:, cells[0]], cycle_tol, max_period)
         if hit is not None:
-            periods[k], cycles[k] = hit
+            periods[cells] = hit[0]
+            cycles.append((cells, hit[1]))
     converged = halts == _HALT_CONVERGED
     classes = np.full(n, CLASS_UNDETERMINED, dtype="U16")
     classes[converged] = CLASS_CONVERGED
@@ -313,9 +395,9 @@ def basin_map(
     points = np.empty((int(sizes.sum()), 2))
     points[first[converged]] = final[converged]
     labels = first.copy()
-    for k, cycle in cycles.items():
-        points[first[k] : first[k] + periods[k]] = cycle
-        labels[k] += int(np.lexsort(cycle.T[::-1])[0])
+    for cells, cycle in cycles:
+        points[first[cells, None] + np.arange(cycle.shape[0])] = cycle
+        labels[cells] += int(np.lexsort(cycle.T[::-1])[0])
     ids, reps = _cluster(points, cluster_tol)
     limit_ids = np.full(n, -1, dtype=np.int64)
     limit_ids[sizes > 0] = ids[labels[sizes > 0]]

@@ -466,6 +466,168 @@ class TestRolloutIsBatchOfOne:
             self.same_as_reference(net, x0)
 
 
+# --- the stepper before trajectories shared rows, verbatim ---------------------
+
+def plain_rollout_tails(net, starts, steps, window):
+    n_traj, dim = starts.shape
+    shift = (window - steps - 1) % window
+    buf = np.empty((window, n_traj, dim))
+    buf[shift] = starts
+    final = np.empty_like(starts)
+    halts = np.full(n_traj, dynamics._HALT_HORIZON, dtype=object)
+    ends = np.full(n_traj, steps, dtype=np.int64)
+    idx = np.arange(n_traj)
+    cur = np.array(starts, dtype=float)
+    consec = np.zeros(n_traj, dtype=np.int64)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, steps + 1):
+            nxt, _ = net.forward_trace(cur)
+            norms = np.sqrt((nxt * nxt).sum(axis=1))
+            steps_len = np.sqrt(((nxt - cur) ** 2).sum(axis=1))
+            if idx.size == n_traj:
+                buf[(t + shift) % window] = nxt
+            else:
+                buf[(t + shift) % window, idx] = nxt
+
+            # A nan or infinite norm fails <= too, so it diverges.
+            diverged = ~(norms <= dynamics.DIVERGENCE_NORM)
+            consec = np.where(steps_len < dynamics.CONVERGENCE_TOL, consec + 1, 0)
+            halted = diverged | (consec >= dynamics.CONVERGENCE_RUN)
+            if not halted.any():
+                cur = nxt
+                continue
+            converged = halted & ~diverged
+            final[idx[halted]] = nxt[halted]
+            ends[idx[halted]] = t
+            halts[idx[diverged]] = dynamics._HALT_DIVERGED
+            halts[idx[converged]] = dynamics._HALT_CONVERGED
+            keep = ~halted
+            idx, cur, consec = idx[keep], nxt[keep], consec[keep]
+            if idx.size == 0:
+                break
+
+    return buf, final, halts, ends
+
+
+def near_rotation_tanh():
+    """0.999999 R(2 pi / 5), then tanh(1.3 I): a slowly decaying rotation."""
+    return MlpNetwork(layers=(
+        Layer(weight=rotation(2 * np.pi / 5, scale=0.999999)),
+        Layer(weight=1.3 * np.eye(2), activation="tanh"),
+    ))
+
+
+class RowCounter:
+    """Records the batch size of every network forward pass."""
+
+    def __init__(self, monkeypatch):
+        self.rows = []
+        forward_trace = MlpNetwork.forward_trace
+
+        def counted(net, x):
+            self.rows.append(np.shape(x)[0])
+            return forward_trace(net, x)
+
+        monkeypatch.setattr(MlpNetwork, "forward_trace", counted)
+
+
+class TestSharedRows:
+    """The stepper that steps each distinct state once, against the plain one."""
+
+    @staticmethod
+    def same_as_plain(net, starts, steps, window):
+        ring, final, halts, ends, tail_rows = dynamics._rollout_tails(
+            net, starts, steps, window)
+        want = plain_rollout_tails(net, starts, steps, window)
+        assert halts.tolist() == want[2].tolist()
+        np.testing.assert_array_equal(ends, want[3])
+        # A ring column holds a tail only if its trajectory reached the
+        # horizon, and final a state only if it halted early.
+        horizon = halts == dynamics._HALT_HORIZON
+        assert ring[:, horizon].tobytes() == want[0][:, horizon].tobytes()
+        assert final[~horizon].tobytes() == want[1][~horizon].tobytes()
+        assert (tail_rows[horizon] >= 0).all()
+        return want
+
+    @pytest.mark.parametrize("preset, overrides", [
+        *(pytest.param(name, (), id=name) for name in square_2d_presets()),
+        pytest.param(None, MIXED_HALTS, id="basin-mixed-halts"),
+    ])
+    def test_presets(self, preset, overrides, monkeypatch):
+        config = basin_config(preset, *overrides)
+        net = cli.build_network(config)
+        grid, steps = config.analysis.grid(), config.analysis.horizon
+        window = min(steps + 1, 2 * dynamics.DEFAULT_MAX_PERIOD + 1)
+        want = self.same_as_plain(net, grid.cell_centers(), steps, window)
+        basin = basin_map(net, grid, steps=steps)
+
+        # basin_map on the plain stepper, with every cell its own tail group.
+        monkeypatch.setattr(dynamics, "_rollout_tails",
+                            lambda *args: (*want, np.arange(grid.resolution ** 2)))
+        plain = basin_map(net, grid, steps=steps)
+        np.testing.assert_array_equal(basin.classifications, plain.classifications)
+        np.testing.assert_array_equal(basin.periods, plain.periods)
+        np.testing.assert_array_equal(basin.limit_ids, plain.limit_ids)
+        assert basin.limit_points.shape == plain.limit_points.shape
+        assert basin.limit_points.tobytes() == plain.limit_points.tobytes()
+
+    def test_copies_of_one_start_step_two_rows(self, monkeypatch):
+        # A one-row product rounds differently from the same row in a
+        # larger one under this net, so merged copies must keep two rows.
+        net, starts = near_rotation_tanh(), np.tile([0.7, -0.4], (3, 1))
+        self.same_as_plain(net, starts, 300, 301)
+        counter = RowCounter(monkeypatch)
+        dynamics._rollout_tails(net, starts, 300, 301)
+        assert counter.rows[:dynamics._MERGE_GAP] == [3] * dynamics._MERGE_GAP
+        assert set(counter.rows[dynamics._MERGE_GAP:]) == {2}
+
+    def test_one_state_with_two_run_counts_stays_two_rows(self):
+        # x1 counts down by one to 0 and stays there.  At the first merge
+        # check both trajectories sit at the origin, one four small steps
+        # into its convergence run and one just arrived, so they must
+        # halt on different steps.
+        gap = dynamics._MERGE_GAP
+        net = linear_net(np.eye(2), b=[-1.0, 0.0], activation="relu")
+        starts = np.array([[gap - 4.0, 0.0], [float(gap), 0.0]])
+        self.same_as_plain(net, starts, 40, 41)
+        ends = dynamics._rollout_tails(net, starts, 40, 41)[3]
+        assert ends.tolist() == [gap + 1, gap + 5]
+
+    def test_tails_are_shared_only_after_a_merge(self):
+        # x1 counts down by one to 0 while x2 flips sign: (0, 1) is on a
+        # two-cycle from the start, and (gap, 1) joins it at the first
+        # merge check.
+        net = MlpNetwork(layers=(
+            Layer(weight=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                  bias=np.array([-1.0, 0.0, 0.0]), activation="relu"),
+            Layer(weight=np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 1.0]])),
+        ))
+        gap = dynamics._MERGE_GAP
+        starts = np.array([[0.0, 1.0], [float(gap), 1.0]])
+        tail_rows = dynamics._rollout_tails(net, starts, gap + 4, 3)[4]
+        assert tail_rows[0] == tail_rows[1]
+        # A tail that begins before the merge still holds the countdown.
+        ring, *_, tail_rows = dynamics._rollout_tails(net, starts, gap + 1, 5)
+        assert tail_rows[0] != tail_rows[1]
+        assert dynamics._detect_cycle(ring[:, 0], 1e-6, 2) is not None
+        assert dynamics._detect_cycle(ring[:, 1], 1e-6, 2) is None
+
+    def test_period_five_collapses_to_its_cycle(self, monkeypatch):
+        config = basin_config("period-five")
+        net = cli.build_network(config)
+        counter = RowCounter(monkeypatch)
+        basin_map(net, config.analysis.grid(), steps=config.analysis.horizon)
+        assert counter.rows[0] == 1600
+        assert max(counter.rows[100:]) == 5
+
+    def test_rollout_never_merges(self, monkeypatch):
+        net = near_rotation_tanh()
+        counter = RowCounter(monkeypatch)
+        rollout(net, [0.7, -0.4], steps=300)
+        assert counter.rows == [1] * 300
+
+
 class TestDepthSpectra:
     def test_linear_moduli_follow_the_power(self):
         w = rotation(0.7, scale=0.9)

@@ -46,6 +46,16 @@ def commands() -> list:
                  ["basin", "--set", "network.activation=selu",
                   "--set", "map.lambda_min=0.99", "--set", "map.lambda_max=1.10",
                   "--set", "analysis.resolution=40"]))
+    # Basins whose 1600 or 6400 cells collapse onto a few stepper rows:
+    # period-five on ranges scaled by 1.03, as the bench jitters them, and
+    # period-two on a finer grid.
+    cmds.append(("basin-period-five-scaled",
+                 ["basin", "--preset", "period-five",
+                  "--set", "analysis.x_range=[-6.18, 6.18]",
+                  "--set", "analysis.y_range=[-6.18, 6.18]"]))
+    cmds.append(("basin-period-two-80",
+                 ["basin", "--preset", "period-two",
+                  "--set", "analysis.resolution=80"]))
     for width in (3, 8, 16):
         cmds.append((f"certify-width{width}",
                      ["certify", "--set", f"network.width={width}"]))
