@@ -1,9 +1,10 @@
 """Number, CSV and JSON formats of every artifact the package writes.
 
 Numbers are ``repr`` of the float64, which reads back to the same double.
-A CSV table is a header plus one iterable per column, zipped into rows as
-the file is written, so ``numbers`` formats a value only when its row is;
-``Numbers`` formats an array once for several files that write it.
+A CSV table is a header plus one iterable per column; each column becomes
+a list of fields once, and rows are joined from them as the file is
+written.  ``Numbers`` formats an array once for several files that write
+it.
 JSON documents are indented by two spaces and end with a newline; they
 are ``json.dumps(doc, indent=2)``, byte for byte, and may also hold float,
 int and bool ndarrays, written as nested lists with NaN as ``null``.
@@ -11,8 +12,8 @@ int and bool ndarrays, written as nested lists with NaN as ``null``.
 
 from __future__ import annotations
 
-import csv
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -73,11 +74,40 @@ def json_pairs(rows):
 
 
 def write_csv(path, header, columns, lineterminator: str = "\r\n") -> None:
-    """Header row, then row k from field k of each column, minimally quoted."""
+    """Header row, then row k from field k of each column, minimally quoted.
+
+    The bytes are those of ``csv.writer`` (Python 3.11): ``None`` is an
+    empty field and other non-strings go through ``str``; a field holding
+    a comma, a double quote or a character of the line terminator is
+    quoted with its quotes doubled; a row whose one field is empty is
+    ``""``.  Each column is formatted once and scanned once, and only a
+    column the scan flags is quoted field by field.
+    """
+    special = set(',"' + lineterminator)
+    header = _csv_fields(header, special)
+    columns = [_csv_fields(column, special) for column in columns]
+    if len(header) == 1:
+        header = [header[0] or '""']
+    if len(columns) == 1:
+        columns = [[field or '""' for field in columns[0]]]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator=lineterminator)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        fh.writelines(",".join(row) + lineterminator
+                      for row in chain([header], zip(*columns)))
+
+
+def _csv_fields(values, special) -> list:
+    """One column's fields, quoted where ``csv.writer`` would quote them."""
+    fields = list(values)
+    try:  # join refuses a column that holds anything but strings
+        text = "".join(fields)
+    except TypeError:
+        fields = [v if isinstance(v, str) else "" if v is None else str(v)
+                  for v in fields]
+        text = "".join(fields)
+    if any(c in text for c in special):
+        fields = ['"' + f.replace('"', '""') + '"' if special.intersection(f)
+                  else f for f in fields]
+    return fields
 
 
 def write_json(path, doc, sort_keys: bool = False) -> None:

@@ -13,9 +13,11 @@ stepper steps each distinct state once: trajectories that reach the same
 state bits (with the same convergence run) share one row from then on,
 so a basin whose cells fall onto a few attractors soon steps only a few
 rows, and basin_map detects the cycle of a tail that such cells share
-once.  basin_map clusters the observed limit points (including every
-state of a detected limit cycle) within a 1e-4 radius, so a two-point
-cycle counts as two distinct limits.
+once.  The stepper stops once its whole state repeats bit for bit and
+replays that cycle for the rest of the horizon.  basin_map clusters the
+observed limit points (including every state of a detected limit cycle)
+within a 1e-4 radius, so a two-point cycle counts as two distinct
+limits.
 """
 
 from __future__ import annotations
@@ -136,9 +138,8 @@ def _detect_cycle(states: np.ndarray, cycle_tol: float, max_period: int):
         return None
     lags = states[m - 1 - cap : m - 1][::-1]  # lags[p-1] = states[-1-p]
     gaps = np.sqrt(np.sum((lags - last) ** 2, axis=1))
-    for p in range(2, cap + 1):
-        if gaps[p - 1] >= cycle_tol:
-            continue
+    # ~(>=) keeps a nan gap a candidate, as a failed >= test did.
+    for p in (np.flatnonzero(~(gaps[1:] >= cycle_tol)) + 2).tolist():
         block = states[m - p :]
         prev = states[m - 2 * p : m - p]
         if np.sqrt(np.sum((block - prev) ** 2, axis=1)).max() >= cycle_tol:
@@ -277,6 +278,15 @@ def _rollout_tails(net: MlpNetwork, starts: np.ndarray, steps: int, window: int)
     tail_rows[k] is the row trajectory k held at state steps + 1 - window,
     where its tail begins (-1 if it had halted), so horizon trajectories
     with equal labels have bit-equal tails.
+
+    The rows' state bits, their run counts and ``row_of`` determine every
+    later step, so once they equal a snapshot taken at step 1, 2, 4, 8, ...
+    (Brent's cycle search) with no merge or halt between, the state has
+    closed a cycle of period P.  If P < window, stepping stops there: the
+    ring still holds each trajectory's last P states, and they are
+    replayed into the slots the window keeps up to the horizon.  A fixed
+    point still halts by the run rule, since its run count changes every
+    step.
     """
     n_traj, dim = starts.shape
     shift = (window - steps - 1) % window
@@ -294,6 +304,8 @@ def _rollout_tails(net: MlpNetwork, starts: np.ndarray, steps: int, window: int)
     consec = np.zeros(n_traj, dtype=np.int64)
     row_of = None
     gap = check = _MERGE_GAP
+    seen = seen_rows = None
+    seen_t = 0
 
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, steps + 1):
@@ -342,10 +354,31 @@ def _rollout_tails(net: MlpNetwork, starts: np.ndarray, steps: int, window: int)
                     row_of = inverse if row_of is None else inverse[row_of]
                     gap = _MERGE_GAP
                 check = t + gap
-            if t == tail_start:
+            # The same row_of object means no merge or halt since the
+            # snapshot; a merge still due would change which rows are
+            # stepped, never a trajectory's bits.
+            key = cur.tobytes() + consec.tobytes()
+            repeats = (key == seen and row_of is seen_rows
+                       and t - seen_t < window)
+            if t == tail_start or repeats and t < tail_start:
                 tail_rows[idx] = np.arange(idx.size) if row_of is None else row_of
+            if repeats:
+                _replay_cycle(buf, shift, t, t - seen_t, max(t + 1, tail_start), steps)
+                break
+            if not t & (t - 1):
+                seen, seen_rows, seen_t = key, row_of, t
 
     return buf, final, halts, ends, tail_rows
+
+
+def _replay_cycle(buf, shift, t, period, start, steps):
+    """Fill the ring slots of states start..steps from the cycle of states
+    t - period + 1..t, which the ring still holds (period < window)."""
+    window = buf.shape[0]
+    cycle = buf[(np.arange(t - period + 1, t + 1) + shift) % window]
+    slots = (np.arange(start, steps + 1) + shift) % window
+    for i in range(min(period, slots.size)):
+        buf[slots[i::period]] = cycle[(start + i - t - 1) % period]
 
 
 def basin_map(

@@ -9,6 +9,7 @@ quoted like every other CSV field, where it used to be ``"[]"``.
 
 import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -613,3 +614,37 @@ class TestWriteJson:
             artifacts.write_json(tmp_path / "doc.json", {"a": np.array(["x"])})
         with pytest.raises(TypeError):
             artifacts.write_json(tmp_path / "doc.json", {"a": {1, 2}})
+
+
+csv_values = (
+    st.text()
+    | st.sampled_from(["a,b", 'say "hi"', '"', ",", "cr\rhere", "lf\nhere",
+                       "crlf\r\nhere", "\r", "\n", "", " lead", "tab\t"])
+    | st.none()
+    | st.integers()
+    | st.integers(-2**63, 2**63 - 1).map(np.int64)
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.booleans()
+)
+
+
+class TestWriteCsv:
+    @given(header=st.lists(csv_values, max_size=4),
+           columns=st.lists(st.lists(csv_values, max_size=6), max_size=4))
+    @example(header=[""], columns=[["", None, "x", ""]])
+    @example(header=[None], columns=[[None]])
+    @example(header=["a", "b"], columns=[["", None], [None, ""]])
+    @example(header=[], columns=[])
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @pytest.mark.parametrize("lineterminator", ["\r\n", "\n"])
+    def test_matches_csv_writer(self, tmp_path, header, columns, lineterminator):
+        path = tmp_path / "table.csv"
+        artifacts.write_csv(path, iter(header), [iter(c) for c in columns],
+                            lineterminator=lineterminator)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")

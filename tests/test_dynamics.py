@@ -556,16 +556,20 @@ class TestSharedRows:
     ])
     def test_presets(self, preset, overrides, monkeypatch):
         config = basin_config(preset, *overrides)
-        net = cli.build_network(config)
-        grid, steps = config.analysis.grid(), config.analysis.horizon
+        self.basin_same_as_plain(cli.build_network(config), config.analysis.grid(),
+                                 config.analysis.horizon, monkeypatch)
+
+    @classmethod
+    def basin_same_as_plain(cls, net, grid, steps, monkeypatch):
         window = min(steps + 1, 2 * dynamics.DEFAULT_MAX_PERIOD + 1)
-        want = self.same_as_plain(net, grid.cell_centers(), steps, window)
+        want = cls.same_as_plain(net, grid.cell_centers(), steps, window)
         basin = basin_map(net, grid, steps=steps)
 
         # basin_map on the plain stepper, with every cell its own tail group.
-        monkeypatch.setattr(dynamics, "_rollout_tails",
-                            lambda *args: (*want, np.arange(grid.resolution ** 2)))
-        plain = basin_map(net, grid, steps=steps)
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_rollout_tails",
+                          lambda *args: (*want, np.arange(grid.resolution ** 2)))
+            plain = basin_map(net, grid, steps=steps)
         np.testing.assert_array_equal(basin.classifications, plain.classifications)
         np.testing.assert_array_equal(basin.periods, plain.periods)
         np.testing.assert_array_equal(basin.limit_ids, plain.limit_ids)
@@ -614,18 +618,70 @@ class TestSharedRows:
         assert dynamics._detect_cycle(ring[:, 1], 1e-6, 2) is None
 
     def test_period_five_collapses_to_its_cycle(self, monkeypatch):
+        # 5 rows from the merge check at step 64; the stepper's state then
+        # repeats within one period, and the rest of the horizon is replayed.
         config = basin_config("period-five")
         net = cli.build_network(config)
         counter = RowCounter(monkeypatch)
         basin_map(net, config.analysis.grid(), steps=config.analysis.horizon)
         assert counter.rows[0] == 1600
-        assert max(counter.rows[100:]) == 5
+        assert set(counter.rows[64:]) == {5}
+        assert len(counter.rows) < 200
 
     def test_rollout_never_merges(self, monkeypatch):
         net = near_rotation_tanh()
         counter = RowCounter(monkeypatch)
         rollout(net, [0.7, -0.4], steps=300)
         assert counter.rows == [1] * 300
+
+
+class TestCycleReplay:
+    """Once the stepper's whole state repeats, the cycle is replayed to the
+    horizon; the result must be the bits that further stepping gives."""
+
+    @pytest.mark.parametrize("horizon, replays", [
+        pytest.param(2000, True, id="closes-before-tail"),
+        pytest.param(600, True, id="closes-in-tail"),
+        pytest.param(60, False, id="horizon-first"),
+    ])
+    def test_period_five(self, horizon, replays, monkeypatch):
+        config = basin_config("period-five", f"analysis.horizon={horizon}")
+        net, analysis = cli.build_network(config), config.analysis
+        TestSharedRows.basin_same_as_plain(net, analysis.grid(), horizon, monkeypatch)
+        TestRolloutIsBatchOfOne.same_as_reference(net, analysis.x0, steps=horizon)
+
+        window = min(horizon + 1, 2 * dynamics.DEFAULT_MAX_PERIOD + 1)
+        tail_start = horizon + 1 - window
+        counter = RowCounter(monkeypatch)
+        dynamics._rollout_tails(net, analysis.grid().cell_centers(), horizon, window)
+        basin_steps, counter.rows = len(counter.rows), []
+        rollout(net, analysis.x0, steps=horizon)
+        if replays:
+            # The basin stops before its tail window where that begins late.
+            assert basin_steps < (tail_start or horizon)
+            assert len(counter.rows) < horizon
+        else:
+            assert basin_steps == len(counter.rows) == horizon
+
+    def test_cycle_as_long_as_the_window_is_stepped(self, monkeypatch):
+        config = basin_config("period-five")
+        net, starts = cli.build_network(config), config.analysis.grid().cell_centers()
+        TestSharedRows.same_as_plain(net, starts, 300, 5)
+        counter = RowCounter(monkeypatch)
+        dynamics._rollout_tails(net, starts, 300, 5)
+        assert len(counter.rows) == 300
+
+    def test_bitwise_fixed_point_still_converges(self):
+        # relu(x1 - 1) counts x1 down to 0, which it then maps to 0: the
+        # state bits repeat, but the run count grows until it halts.
+        net = linear_net(np.eye(2), b=[-1.0, 0.0], activation="relu")
+        starts = np.array([[0.0, 0.0], [3.0, 0.0], [7.0, 0.0]])
+        TestSharedRows.same_as_plain(net, starts, 40, 41)
+        ends = dynamics._rollout_tails(net, starts, 40, 41)[3]
+        assert ends.tolist() == [5, 8, 12]
+        for x0, end in zip(starts, ends):
+            traj = TestRolloutIsBatchOfOne.same_as_reference(net, x0, steps=40)
+            assert traj.halt == "converged" and traj.steps == end
 
 
 class TestDepthSpectra:

@@ -56,6 +56,18 @@ def commands() -> list:
     cmds.append(("basin-period-two-80",
                  ["basin", "--preset", "period-two",
                   "--set", "analysis.resolution=80"]))
+    # Edges of the cycle replay: a long horizon after an early repeat, a
+    # horizon that ends before any repeat, and a repeat inside the tail
+    # window (window 601, which begins at state 0).
+    cmds.append(("rollout-period-two-5000",
+                 ["rollout", "--preset", "period-two",
+                  "--set", "analysis.horizon=5000"]))
+    cmds.append(("rollout-period-five-60",
+                 ["rollout", "--preset", "period-five",
+                  "--set", "analysis.horizon=60"]))
+    cmds.append(("basin-period-five-600",
+                 ["basin", "--preset", "period-five",
+                  "--set", "analysis.horizon=600"]))
     for width in (3, 8, 16):
         cmds.append((f"certify-width{width}",
                      ["certify", "--set", f"network.width={width}"]))
