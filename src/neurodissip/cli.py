@@ -2,9 +2,11 @@
 
 Every subcommand reads one ExperimentConfig (from a named preset, a JSON
 file, or built-in defaults), optionally patched by ``--set`` dotted-path
-overrides, and writes fixed-name artifacts under ``--out``.  Outputs are
-deterministic for a given config and seed; the only run-dependent value
-is a timestamp kept inside each JSON file's metadata block.
+overrides, and writes fixed-name artifacts under ``--out``.  Sections are
+checked at load; ``analysis`` is a GridSpec and ``training`` a TrainConfig,
+each passed to the library as it is.  Outputs are deterministic for a
+given config and seed; the only run-dependent value is a timestamp kept
+inside each JSON file's metadata block.
 
 Exit codes: 0 on success, 1 on errors (bad config, runtime failure, PWA
 residual above tolerance), 2 when ``certify --assert`` finds no
@@ -62,10 +64,7 @@ class NetworkSpec:
     def __post_init__(self):
         if self.depth < 1 or self.width < 1:
             raise ConfigError("network depth and width must be at least 1")
-        try:
-            get_activation(self.activation)
-        except ValueError:
-            raise ConfigError(f"unknown activation {self.activation!r}")
+        get_activation(self.activation)
 
 
 @dataclass(frozen=True)
@@ -84,12 +83,10 @@ class MapSpec:
 
 
 @dataclass(frozen=True)
-class AnalysisSpec:
-    """Grid ranges, rollout horizon, and anchor budget for analyses."""
+class AnalysisSpec(GridSpec):
+    """The analysis GridSpec, plus rollout horizon and start, anchor
+    budget, A(x) mode, and spectra depths."""
 
-    x_range: tuple = (-6.0, 6.0)
-    y_range: tuple = (-6.0, 6.0)
-    resolution: int = 120
     horizon: int = 2000
     anchors: int = 400
     mode: str = "linear"
@@ -101,16 +98,13 @@ class AnalysisSpec:
         object.__setattr__(self, "y_range", _as_tuple(self.y_range, float, "analysis.y_range", 2))
         object.__setattr__(self, "depths", _as_tuple(self.depths, int, "analysis.depths"))
         object.__setattr__(self, "x0", _as_tuple(self.x0, float, "analysis.x0"))
-        if self.resolution < 1 or self.horizon < 1 or self.anchors < 1:
-            raise ConfigError("analysis resolution, horizon, and anchors must be positive")
+        super().__post_init__()
+        if self.horizon < 1 or self.anchors < 1:
+            raise ConfigError("analysis horizon and anchors must be positive")
         if self.mode not in ("linear", "affine"):
             raise ConfigError(f"analysis.mode must be 'linear' or 'affine', got {self.mode!r}")
         if any(d < 1 for d in self.depths):
             raise ConfigError("analysis.depths must be positive")
-
-    def grid(self) -> GridSpec:
-        return GridSpec(x_range=self.x_range, y_range=self.y_range,
-                        resolution=self.resolution)
 
 
 @dataclass(frozen=True)
@@ -123,48 +117,29 @@ class PlantSpec:
     method: str = "rk4"
 
     def __post_init__(self):
-        if self.name not in ("cstr", "two_tank"):
+        if self.name not in plants.PLANT_KINDS:
             raise ConfigError(f"unknown plant {self.name!r}")
         if self.samples < 3:
             raise ConfigError("plant.samples must be at least 3")
 
 
 @dataclass(frozen=True)
-class TrainSpec:
-    """Model size and optimizer settings for system identification."""
+class TrainSpec(training.TrainConfig):
+    """The TrainConfig that train() runs, plus the model's size and
+    activation; its checkpoint report keeps the TrainConfig fields."""
 
+    epochs: int = 600
     width: int = 32
     hidden: int = 2
     activation: str = "gelu"
-    horizon: int = 32
-    batch: int = 64
-    epochs: int = 600
-    learning_rate: float = 1e-3
-    optimizer: str = "adam"
-    regularizers: dict = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
         if self.width < 1 or self.hidden < 0:
             raise ConfigError("training width must be positive and hidden nonnegative")
-        try:
-            get_activation(self.activation)
-        except ValueError:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-        regs = dict(self.regularizers)
-        for key, value in regs.items():
-            regs[key] = float(value)
+        get_activation(self.activation)
+        regs = {key: float(value) for key, value in dict(self.regularizers).items()}
         object.__setattr__(self, "regularizers", regs)
-        try:
-            train_config = training.TrainConfig(
-                horizon=self.horizon, batch=self.batch, epochs=self.epochs,
-                learning_rate=self.learning_rate, optimizer=self.optimizer,
-                regularizers=regs, seed=self.seed,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
-        # Not a dataclass field, so it is neither a config key nor emitted.
-        object.__setattr__(self, "train_config", train_config)
+        super().__post_init__()
 
 
 _SECTIONS = {
@@ -199,20 +174,22 @@ class ExperimentConfig:
         unknown = set(data) - set(_SECTIONS) - {"seed"}
         if unknown:
             raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-        kwargs: dict = {}
-        if "seed" in data:
-            kwargs["seed"] = int(data["seed"])
+        kwargs: dict = {"seed": int(data["seed"])} if "seed" in data else {}
         for name, section_cls in _SECTIONS.items():
             if name not in data:
                 continue
             section = data[name]
             if not isinstance(section, dict):
                 raise ConfigError(f"config section {name!r} must be an object")
-            known = {f.name for f in fields(section_cls)}
-            bad = set(section) - known
+            bad = set(section) - {f.name for f in fields(section_cls)}
             if bad:
                 raise ConfigError(f"unknown config key {name!r}.{sorted(bad)[0]!r}")
-            kwargs[name] = section_cls(**section)
+            try:
+                kwargs[name] = section_cls(**section)
+            except ConfigError:
+                raise
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(str(exc)) from None
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -459,7 +436,7 @@ def certificate_report(config: ExperimentConfig, equilibria: bool = True) -> dic
 
     # Norms and flags only: the certificate writes no eigenvalues.
     if net.input_dim == 2 and net.output_dim == 2:
-        region = dissipativity.certify_region(net, analysis.grid(), analysis.mode)
+        region = dissipativity.certify_region(net, analysis, analysis.mode)
         summary = report["grid"] = region.summary()
         worst = region.worst_cell()
         if worst is not None:
@@ -540,28 +517,28 @@ def enumerate_sweep(base: ExperimentConfig, kinds=None, bounds=None,
                     depths=None, activations=None, bias_choices=None) -> list:
     """The cross product of map rows, depths, activations, and bias flags.
 
-    Restrictions filter the full product; seeds always come from a row's
-    position in the unrestricted enumeration, so a partial sweep studies
-    the same draws as the full one.
+    Each axis is the study's own; a restriction other than None keeps the
+    points whose value it holds, and the unstructured row passes any
+    bounds.  Seeds always come from a row's position in the unrestricted
+    enumeration, so a partial sweep studies the same draws as the full one.
     """
-    depth_axis = tuple(depths) if depths else SWEEP_DEPTHS
-    act_axis = tuple(activations) if activations else SWEEP_ACTIVATIONS
-    bias_axis = tuple(bias_choices) if bias_choices is not None else (False, True)
+    def kept(allowed, value):
+        return allowed is None or value in allowed
+
     configs = []
     combo = 0
     for kind, row_bounds in sweep_rows():
         for depth in SWEEP_DEPTHS:
             seed = base.seed + _SEED_STRIDE * combo
             combo += 1
-            if depth not in depth_axis:
-                continue
-            if kinds and kind not in kinds:
-                continue
-            if bounds and row_bounds is not None and row_bounds not in bounds:
+            if not (kept(kinds, kind) and kept(depths, depth)
+                    and (row_bounds is None or kept(bounds, row_bounds))):
                 continue
             lmin, lmax = row_bounds if row_bounds is not None else (0.0, 1.0)
-            for act in act_axis:
-                for bias in bias_axis:
+            for act in SWEEP_ACTIVATIONS:
+                for bias in (False, True):
+                    if not (kept(activations, act) and kept(bias_choices, bias)):
+                        continue
                     name = _config_name(kind, row_bounds, depth, act, bias)
                     config = ExperimentConfig(
                         seed=seed,
@@ -628,7 +605,7 @@ def cmd_grid(args) -> int:
         net = training.load_checkpoint(args.checkpoint)[0].f_net
     else:
         net = build_network(config)
-    analysis = dissipativity.certify_region(net, config.analysis.grid(),
+    analysis = dissipativity.certify_region(net, config.analysis,
                                             config.analysis.mode)
     dissipativity.write_grid_csv(analysis, os.path.join(out, "grid.csv"))
     dissipativity.write_grid_json(analysis, os.path.join(out, "grid.json"))
@@ -650,7 +627,7 @@ def cmd_spectra(args) -> int:
     config = _load_config(args)
     out = _outdir(args)
     template = build_network(config).layers[0]
-    anchors = config.analysis.grid().cell_centers()
+    anchors = config.analysis.cell_centers()
     studies = dynamics.depth_spectra(template, config.analysis.depths, anchors,
                                      mode=config.analysis.mode)
     dynamics.write_spectra_csv(studies, os.path.join(out, "histograms.csv"))
@@ -693,7 +670,7 @@ def cmd_basin(args) -> int:
     config = _load_config(args)
     out = _outdir(args)
     net = build_network(config)
-    basin = dynamics.basin_map(net, config.analysis.grid(),
+    basin = dynamics.basin_map(net, config.analysis,
                                steps=config.analysis.horizon)
     dynamics.write_basin_csv(basin, os.path.join(out, "basin.csv"))
     summary = basin.summary()
@@ -739,7 +716,7 @@ def cmd_train(args) -> int:
     )
     test_states, test_inputs = data.split_arrays("test")
     init_mse = training.open_loop_mse(model, test_states, test_inputs)
-    report = training.train(model, data, spec.train_config)
+    report = training.train(model, data, spec)
     best_mse = training.open_loop_mse(report.best_model, test_states,
                                       test_inputs)
     training.save_checkpoint(report.best_model,
@@ -813,11 +790,11 @@ def _sweep_row(name: str, config: ExperimentConfig, report) -> dict:
     return row
 
 
-def _sweep_filter(flag, text, parse, valid):
-    """Parse a comma list of axis values, each one the study holds."""
+def _sweep_filter(flag, text, parse, axis):
+    """Parse a comma list of study values; each comes back once, in axis order."""
     if not text:
         return None
-    values = []
+    chosen = set()
     for token in text.split(","):
         try:
             value = parse(token)
@@ -825,10 +802,10 @@ def _sweep_filter(flag, text, parse, valid):
             raise
         except ValueError:
             raise ConfigError(f"{flag} value {token!r} cannot be parsed") from None
-        if value not in valid:
+        if value not in axis:
             raise ConfigError(f"{flag} value {token!r} is not in the sweep")
-        values.append(value)
-    return values
+        chosen.add(value)
+    return tuple(value for value in axis if value in chosen)
 
 
 def _bound_pair(token):
@@ -838,27 +815,27 @@ def _bound_pair(token):
     return float(lo), float(hi)
 
 
+def _on_off(token):
+    if token not in ("on", "off"):
+        raise ConfigError("--bias takes a comma list of on/off")
+    return token == "on"
+
+
 def cmd_sweep(args) -> int:
     base = _load_config(args)
     threads = resolve_threads(args.threads)
     out = _outdir(args)
-    rows = sweep_rows()
-    kinds = _sweep_filter("--kinds", args.kinds, str, {k for k, _ in rows})
-    depths = _sweep_filter("--depths", args.depths, int, SWEEP_DEPTHS)
-    activations = args.activations.split(",") if args.activations else None
-    bias_choices = None
-    if args.bias:
-        mapping = {"on": True, "off": False}
-        try:
-            bias_choices = tuple(mapping[b] for b in args.bias.split(","))
-        except KeyError:
-            raise ConfigError("--bias takes a comma list of on/off")
-    bounds = _sweep_filter("--bounds", args.bounds, _bound_pair,
-                           {b for _, b in rows if b is not None})
-
-    configs = enumerate_sweep(base, kinds=kinds, bounds=bounds, depths=depths,
-                              activations=activations,
-                              bias_choices=bias_choices)
+    study = sweep_rows()
+    configs = enumerate_sweep(
+        base, kinds=_sweep_filter("--kinds", args.kinds, str,
+                                  tuple(dict.fromkeys(k for k, _ in study))),
+        bounds=_sweep_filter("--bounds", args.bounds, _bound_pair, tuple(
+            dict.fromkeys(b for _, b in study if b is not None))),
+        depths=_sweep_filter("--depths", args.depths, int, SWEEP_DEPTHS),
+        activations=_sweep_filter("--activations", args.activations, str,
+                                  SWEEP_ACTIVATIONS),
+        bias_choices=_sweep_filter("--bias", args.bias, _on_off, (False, True)),
+    )
     if args.count_only:
         print(f"sweep: {len(configs)} configurations")
         return 0

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import artifacts, linalg
-from .activations import STABLE, get_activation, ray_gains
+from .activations import STABLE, ray_gains
 from .network import MlpNetwork
 from .pwa import PwaForm, extract_pwa_batch
 
@@ -130,7 +130,6 @@ class GridSpec:
 class EquilibriumBounds:
     lower: float
     upper: float  # may be +inf
-    norm_p: int = 2
 
 
 @dataclass(frozen=True)
@@ -267,10 +266,8 @@ def layerwise_certificate(
 ) -> LayerwiseCertificate:
     """Check the sufficient per-layer conditions for global dissipativity."""
     w_norms = tuple(linalg.spectral_norm(layer.weight) for layer in net.layers)
-    act_names = [l.activation for l in net.layers if l.activation is not None]
-    analytic = all(
-        get_activation(name).stability_class == STABLE for name in act_names
-    )
+    acts = [layer.act for layer in net.layers if layer.act is not None]
+    analytic = all(act.stability_class == STABLE for act in acts)
     if analytic:
         lambda_bound = 1.0
     else:
@@ -278,12 +275,10 @@ def layerwise_certificate(
         lambda_bound = 0.0
         if z_samples is not None:
             zs = np.concatenate([np.ravel(np.asarray(z)) for z in z_samples])
-            for name in act_names:
-                act = get_activation(name)
+            for act in acts:
                 if act.stability_class != STABLE:
-                    lambda_bound = max(
-                        lambda_bound, float(np.max(np.abs(ray_gains(act, zs))))
-                    )
+                    gains = np.abs(ray_gains(act, zs))
+                    lambda_bound = max(lambda_bound, float(np.max(gains)))
     strict = all(linalg.sigma_upper(w, layer.weight.shape) < 1.0
                  for w, layer in zip(w_norms, net.layers))
     weak = all(w <= 1.0 for w in w_norms) and any(w < 1.0 for w in w_norms)
@@ -312,7 +307,7 @@ def equilibrium_bounds(form: PwaForm) -> EquilibriumBounds:
     a_upper = linalg.sigma_upper(linalg.spectral_norm(a), a.shape)
     lower = b_norm / linalg.sigma_upper(denom, a.shape)
     upper = b_norm / (1.0 - a_upper) if a_upper < 1.0 else float("inf")
-    return EquilibriumBounds(lower=lower, upper=upper, norm_p=2)
+    return EquilibriumBounds(lower=lower, upper=upper)
 
 
 def dissipativity_penalty(net: MlpNetwork, anchors):

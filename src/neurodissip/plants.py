@@ -31,8 +31,6 @@ __all__ = [
     "PlantDataset",
     "IntegrationError",
     "make_plant",
-    "cstr_derivative",
-    "two_tank_derivative",
     "plant_derivative",
     "integrate",
     "excitation_signal",
@@ -176,24 +174,12 @@ def _two_tank_kernel(p: dict):
 _KERNELS = {"cstr": _cstr_kernel, "two_tank": _two_tank_kernel}
 
 
-def _as_array(kernel, x, u) -> np.ndarray:
+def plant_derivative(plant: PlantModel, x, u) -> np.ndarray:
+    """The plant's state derivative at one state and input."""
+    kernel = _KERNELS[plant.kind](plant.parameters)
     x = np.asarray(x, dtype=float).reshape(-1)
     u = np.asarray(u, dtype=float).reshape(-1).tolist()
     return np.array(kernel(float(x[0]), float(x[1]), u))
-
-
-def cstr_derivative(x, u, p: dict) -> np.ndarray:
-    """Reactor state derivative (concentration, temperature)."""
-    return _as_array(_cstr_kernel(p), x, u)
-
-
-def two_tank_derivative(x, u, p: dict) -> np.ndarray:
-    """Tank level derivatives with overflow shutoff."""
-    return _as_array(_two_tank_kernel(p), x, u)
-
-
-def plant_derivative(plant: PlantModel, x, u) -> np.ndarray:
-    return _as_array(_KERNELS[plant.kind](plant.parameters), x, u)
 
 
 def _rk4_step(f, x1, x2, u, h):
@@ -253,11 +239,6 @@ class PlantDataset:
     @property
     def samples(self) -> int:
         return self.states.shape[0]
-
-    def split_arrays(self, name: str):
-        idx = {"train": 0, "dev": 1, "test": 2}[name]
-        lo, hi = self.splits[idx]
-        return self.states[lo:hi], self.inputs[lo:hi]
 
     def normalization(self) -> dict:
         s_min, s_max = minmax_constants(self.states)

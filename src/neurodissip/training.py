@@ -21,7 +21,7 @@ parallelism the loop needs; the external contract is single-threaded.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,6 @@ __all__ = [
     "ConstrainedNetwork",
     "ConstrainedSSM",
     "make_mlp",
-    "ssm_step",
     "ssm_rollout",
     "rollout_loss",
     "backward",
@@ -83,13 +82,8 @@ class BlockSSM:
         return self.g_net.input_dim
 
 
-def ssm_step(model: BlockSSM, x, u) -> np.ndarray:
-    """One transition x+ = f(x) + g(u)."""
-    return model.f_net.forward(x) + model.g_net.forward(u)
-
-
 def ssm_rollout(model: BlockSSM, x0, inputs) -> np.ndarray:
-    """Iterate the model from x0 through a whole input sequence.
+    """Iterate x+ = f(x) + g(u) from x0 through a whole input sequence.
 
     Returns len(inputs)+1 states; once a state goes non-finite the rest
     of the record is NaN.
@@ -102,7 +96,7 @@ def ssm_rollout(model: BlockSSM, x0, inputs) -> np.ndarray:
     states[0] = x
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(inputs.shape[0]):
-            x = ssm_step(model, x, inputs[t])
+            x = model.f_net.forward(x) + model.g_net.forward(inputs[t])
             if not np.isfinite(x).all():
                 break
             states[t + 1] = x
@@ -119,9 +113,8 @@ def rollout_loss(model: BlockSSM, states, inputs, horizon: int) -> float:
     states = np.asarray(states, dtype=float)
     inputs = np.asarray(inputs, dtype=float)
     _check_window(model, states, inputs, horizon)
-    spec_f, spec_g = _net_spec(model.f_net), _net_spec(model.g_net)
-    loss, *_ = _bptt_forward(spec_f, spec_g, states[None, : horizon + 1],
-                             inputs[None, :horizon])
+    loss, *_ = _bptt_forward(model.f_net, model.g_net,
+                             states[None, : horizon + 1], inputs[None, :horizon])
     return loss
 
 
@@ -166,44 +159,40 @@ def _check_window(model, states, inputs, horizon):
 
 # --- the reverse-mode core -------------------------------------------------
 
-def _net_spec(net: MlpNetwork):
-    """(weight, bias, activation) triples the hot loops iterate over."""
-    return [(layer.weight, layer.bias, layer.act) for layer in net.layers]
+def _mlp_forward(net: MlpNetwork, h):
+    """Batched forward through one network; returns output, inputs, slopes.
 
-
-def _mlp_forward(spec, h):
-    """Batched forward through one spec; returns output, inputs, slopes.
-
-    A layer's slope is its activation's derivative at the pre-activation
-    (None for a linear layer), which is all backward needs of it.
+    Unlike MlpNetwork.forward it keeps each layer's slope, its
+    activation's derivative at the pre-activation (None for a linear
+    layer), which is all backward needs of it.
     """
     hs, slopes = [], []
-    for w, b, act in spec:
+    for layer in net.layers:
         hs.append(h)
-        z = h @ w.T
-        if b is not None:
-            z = z + b
-        if act is None:
+        z = h @ layer.weight.T
+        if layer.bias is not None:
+            z = z + layer.bias
+        if layer.act is None:
             h, slope = z, None
         else:
-            h, slope = act.value_and_slope(z)
+            h, slope = layer.act.value_and_slope(z)
         slopes.append(slope)
     return h, hs, slopes
 
 
-def _mlp_backward(spec, hs, slopes, gout, gw, gb):
+def _mlp_backward(net: MlpNetwork, hs, slopes, gout, gw, gb):
     """Accumulate parameter gradients; returns the input gradient."""
-    for l in range(len(spec) - 1, -1, -1):
-        w, b, _ = spec[l]
+    for l in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[l]
         gz = gout if slopes[l] is None else gout * slopes[l]
         gw[l] += gz.T @ hs[l]
-        if b is not None:
+        if layer.bias is not None:
             gb[l] += gz.sum(axis=0)
-        gout = gz @ w
+        gout = gz @ layer.weight
     return gout
 
 
-def _bptt_forward(spec_f, spec_g, xs, us):
+def _bptt_forward(f_net: MlpNetwork, g_net: MlpNetwork, xs, us):
     """Forward pass over a window batch.
 
     xs is (B, horizon+1, n_x) measured states, us (B, horizon, n_u).
@@ -216,8 +205,8 @@ def _bptt_forward(spec_f, spec_g, xs, us):
     err = np.empty((b, steps, n_x))
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
-            out_f, hf, sf = _mlp_forward(spec_f, xh)
-            out_g, hg, sg = _mlp_forward(spec_g, us[:, t])
+            out_f, hf, sf = _mlp_forward(f_net, xh)
+            out_g, hg, sg = _mlp_forward(g_net, us[:, t])
             f_traces.append((hf, sf))
             g_traces.append((hg, sg))
             xh = out_f + out_g
@@ -226,22 +215,23 @@ def _bptt_forward(spec_f, spec_g, xs, us):
     return loss, f_traces, g_traces, err
 
 
-def _bptt_backward(spec_f, spec_g, f_traces, g_traces, err):
+def _bptt_backward(f_net: MlpNetwork, g_net: MlpNetwork, f_traces, g_traces,
+                   err):
     """Backpropagate the window-batch loss through time."""
     b, steps, n_x = err.shape
-    gw_f = [np.zeros_like(w) for w, _, _ in spec_f]
-    gb_f = [None if bi is None else np.zeros_like(bi) for _, bi, _ in spec_f]
-    gw_g = [np.zeros_like(w) for w, _, _ in spec_g]
-    gb_g = [None if bi is None else np.zeros_like(bi) for _, bi, _ in spec_g]
+    gw_f, gw_g = ([np.zeros_like(layer.weight) for layer in net.layers]
+                  for net in (f_net, g_net))
+    gb_f, gb_g = ([None if layer.bias is None else np.zeros_like(layer.bias)
+                   for layer in net.layers] for net in (f_net, g_net))
     scale = 2.0 / err.size
     delta = np.zeros((b, n_x))
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps - 1, -1, -1):
             delta = delta + scale * err[:, t]
             hg, sg = g_traces[t]
-            _mlp_backward(spec_g, hg, sg, delta, gw_g, gb_g)
+            _mlp_backward(g_net, hg, sg, delta, gw_g, gb_g)
             hf, sf = f_traces[t]
-            delta = _mlp_backward(spec_f, hf, sf, delta, gw_f, gb_f)
+            delta = _mlp_backward(f_net, hf, sf, delta, gw_f, gb_f)
     return gw_f, gb_f, gw_g, gb_g
 
 
@@ -269,12 +259,12 @@ def backward(model: BlockSSM, states, inputs, horizon: int) -> GradientTape:
     states = np.asarray(states, dtype=float)
     inputs = np.asarray(inputs, dtype=float)
     _check_window(model, states, inputs, horizon)
-    spec_f, spec_g = _net_spec(model.f_net), _net_spec(model.g_net)
     loss, f_traces, g_traces, err = _bptt_forward(
-        spec_f, spec_g, states[None, : horizon + 1], inputs[None, :horizon]
+        model.f_net, model.g_net, states[None, : horizon + 1],
+        inputs[None, :horizon]
     )
     gw_f, gb_f, gw_g, gb_g = _bptt_backward(
-        spec_f, spec_g, f_traces, g_traces, err
+        model.f_net, model.g_net, f_traces, g_traces, err
     )
     return GradientTape(
         loss=loss,
@@ -456,7 +446,9 @@ class TrainConfig:
                 raise ValueError(f"unknown regularizer {key!r}; known: {known}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """This class's fields in order, also on a subclass that adds more."""
+        data = asdict(self)
+        return {f.name: data[f.name] for f in fields(TrainConfig)}
 
 
 @dataclass(frozen=True)
@@ -620,30 +612,29 @@ def train(model, data: TrainingData, config: TrainConfig) -> TrainReport:
         for bi in range(0, order.shape[0], config.batch):
             chunk = order[bi:bi + config.batch]
             batch = bi // config.batch
-            spec_f = _net_spec(realized.f_net)
-            spec_g = _net_spec(realized.g_net)
+            f_net, g_net = realized.f_net, realized.g_net
             xs = data.states[chunk[:, None] + offs_x]
             us = data.inputs[chunk[:, None] + offs_u]
-            loss, f_tr, g_tr, err = _bptt_forward(spec_f, spec_g, xs, us)
+            loss, f_tr, g_tr, err = _bptt_forward(f_net, g_net, xs, us)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {batch}",
                     epoch, batch, chunk,
                 )
             gw_f, gb_f, gw_g, gb_g = _bptt_backward(
-                spec_f, spec_g, f_tr, g_tr, err
+                f_net, g_net, f_tr, g_tr, err
             )
             reg_total = 0.0
-            for gw_list, spec in ((gw_f, spec_f), (gw_g, spec_g)):
-                for gw, (w, _, _) in zip(gw_list, spec):
-                    if l2:
-                        gw += 2.0 * l2 * w
-                        reg_total += l2 * float(np.sum(w * w))
-                    if l1:
-                        gw += l1 * np.sign(w)
-                        reg_total += l1 * float(np.sum(np.abs(w)))
+            for gw, layer in zip(gw_f + gw_g, f_net.layers + g_net.layers):
+                w = layer.weight
+                if l2:
+                    gw += 2.0 * l2 * w
+                    reg_total += l2 * float(np.sum(w * w))
+                if l1:
+                    gw += l1 * np.sign(w)
+                    reg_total += l1 * float(np.sum(np.abs(w)))
             if diss_weight > 0.0:
-                d_value, d_grads = dissipativity_penalty(realized.f_net, anchors)
+                d_value, d_grads = dissipativity_penalty(f_net, anchors)
                 if not np.isfinite(d_value):
                     raise TrainingDiverged(
                         f"non-finite regularizer at epoch {epoch}, "

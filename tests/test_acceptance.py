@@ -157,7 +157,7 @@ def test_criterion_06_depth_trend_of_pooled_spectra():
     for preset in ("depth-damping", "depth-growth"):
         config = cli.ExperimentConfig.from_dict(cli.PRESETS[preset])
         template = cli.build_network(config).layers[0]
-        anchors = config.analysis.grid().cell_centers()
+        anchors = config.analysis.cell_centers()
         studies = dynamics.depth_spectra(template, (1, 4, 8), anchors,
                                          mode=config.analysis.mode)
         medians[preset] = [s.median_modulus() for s in studies]

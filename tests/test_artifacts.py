@@ -373,7 +373,7 @@ class TestDynamicsWriters:
 
     def test_basin(self, tmp_path):
         config = preset_config("period-five", resolution=7)
-        basin = basin_map(cli.build_network(config), config.analysis.grid(),
+        basin = basin_map(cli.build_network(config), config.analysis,
                           steps=config.analysis.horizon)
         assert len(set(basin.classifications.ravel().tolist())) > 1
         same_bytes(tmp_path, "basin.csv", write_basin_csv,
@@ -381,7 +381,7 @@ class TestDynamicsWriters:
 
     def test_spectra_at_three_depths(self, tmp_path):
         config = preset_config("depth-damping", resolution=6, depths=[1, 2, 4])
-        anchors = config.analysis.grid().cell_centers()
+        anchors = config.analysis.cell_centers()
         studies = depth_spectra(cli.build_network(config).layers[0],
                                 config.analysis.depths, anchors)
         assert [s.depth for s in studies] == [1, 2, 4]

@@ -22,6 +22,7 @@ from neurodissip.cli import (
     parse_config,
     sweep_rows,
 )
+from neurodissip.training import TrainConfig
 
 
 def read_json(path):
@@ -67,8 +68,20 @@ class TestConfigSchema:
             ExperimentConfig.from_dict({"network": 3})
 
     def test_unknown_activation_rejected(self):
-        with pytest.raises(ConfigError, match="unknown activation"):
-            ExperimentConfig.from_dict({"network": {"activation": "swish"}})
+        for section in ("network", "training"):
+            with pytest.raises(ConfigError,
+                               match="unknown activation 'swish'; known: .*relu"):
+                ExperimentConfig.from_dict({section: {"activation": "swish"}})
+
+    def test_inverted_range_rejected_at_load(self):
+        with pytest.raises(ConfigError, match="x_range must satisfy lo < hi"):
+            ExperimentConfig.from_dict({"analysis": {"x_range": [1, 0]}})
+
+    def test_section_value_and_type_errors_become_config_errors(self):
+        with pytest.raises(ConfigError, match="resolution must be positive"):
+            ExperimentConfig.from_dict({"analysis": {"resolution": 0}})
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"network": {"depth": "deep"}})
 
     def test_unknown_map_kind_rejected(self):
         with pytest.raises(ConfigError, match="unknown map kind"):
@@ -110,9 +123,13 @@ class TestConfigSchema:
         config = ExperimentConfig.from_dict(
             {"training": {"horizon": 8, "optimizer": "sgd",
                           "regularizers": {"l2": 1}}})
-        run = config.training.train_config
+        run = config.training
+        assert isinstance(run, TrainConfig)
         assert (run.horizon, run.optimizer, run.regularizers) == (8, "sgd", {"l2": 1.0})
-        assert "train_config" not in config.to_dict()["training"]
+        assert list(run.to_dict()) == [
+            "horizon", "batch", "epochs", "learning_rate", "optimizer",
+            "regularizers", "seed"]
+        assert run.to_dict()["epochs"] == 600
 
     def test_parse_rejects_malformed_json(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
@@ -382,6 +399,15 @@ class TestSweepEnumeration:
         assert name == "spectral_svd_0.99_1.10_d8_selu_nobias"
         assert config.seed == full[name].seed
 
+    def test_repeated_restriction_values_count_once(self):
+        configs = enumerate_sweep(ExperimentConfig(), activations=("relu", "relu"),
+                                  bias_choices=(True, False, True))
+        names = [name for name, _ in configs]
+        assert len(names) == len(set(names)) == 23 * 3 * 2
+
+    def test_values_outside_the_study_select_nothing(self):
+        assert enumerate_sweep(ExperimentConfig(), activations=("elu",)) == []
+
     def test_base_seed_shifts_every_config(self):
         base0 = enumerate_sweep(ExperimentConfig(seed=0))
         base9 = enumerate_sweep(ExperimentConfig(seed=9))
@@ -618,7 +644,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--kinds", "spectral"), ("--depths", "5"), ("--bounds", "0.5:0.9"),
-        ("--depths", "x"), ("--bounds", "a:b"),
+        ("--depths", "x"), ("--bounds", "a:b"), ("--activations", "elu"),
     ])
     def test_filter_value_outside_study_rejected(self, tmp_path, capsys,
                                                  flag, value):
@@ -628,6 +654,29 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert flag in err and repr(value) in err
+
+    @pytest.mark.parametrize("flag, value, count", [
+        ("--activations", "relu,relu", 138), ("--bias", "on,on", 414),
+        ("--depths", "8,1,8", 552),
+    ])
+    def test_repeated_filter_values_count_once(self, tmp_path, capsys,
+                                               flag, value, count):
+        rc = main(["sweep", "--count-only", "--out", str(tmp_path), flag, value])
+        assert rc == 0
+        assert capsys.readouterr().out == f"sweep: {count} configurations\n"
+
+    def test_bad_bias_token_rejected(self, tmp_path, capsys):
+        rc = main(["sweep", "--count-only", "--out", str(tmp_path),
+                   "--bias", "on,yes"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --bias takes a comma list of on/off\n"
+
+    def test_inverted_range_fails_before_any_config(self, tmp_path, capsys):
+        rc = main(["sweep", "--out", str(tmp_path), "--depths", "1",
+                   "--set", "analysis.x_range=[1, 0]"])
+        assert rc == 1
+        assert "x_range must satisfy lo < hi" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_valid_filters_may_select_nothing(self, tmp_path, capsys):
         rc = main(["sweep", "--count-only", "--out", str(tmp_path),

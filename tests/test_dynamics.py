@@ -322,7 +322,7 @@ class TestBasinBitForBit:
     def test_matches_reference(self, preset, overrides, classes, clusters):
         config = basin_config(preset, *overrides)
         basin = self.same_as_reference(cli.build_network(config),
-                                       config.analysis.grid(), config.analysis.horizon)
+                                       config.analysis, config.analysis.horizon)
         assert basin.summary()["classes"] == classes
         assert basin.summary()["limit_clusters"] == clusters
 
@@ -556,7 +556,7 @@ class TestSharedRows:
     ])
     def test_presets(self, preset, overrides, monkeypatch):
         config = basin_config(preset, *overrides)
-        self.basin_same_as_plain(cli.build_network(config), config.analysis.grid(),
+        self.basin_same_as_plain(cli.build_network(config), config.analysis,
                                  config.analysis.horizon, monkeypatch)
 
     @classmethod
@@ -623,7 +623,7 @@ class TestSharedRows:
         config = basin_config("period-five")
         net = cli.build_network(config)
         counter = RowCounter(monkeypatch)
-        basin_map(net, config.analysis.grid(), steps=config.analysis.horizon)
+        basin_map(net, config.analysis, steps=config.analysis.horizon)
         assert counter.rows[0] == 1600
         assert set(counter.rows[64:]) == {5}
         assert len(counter.rows) < 200
@@ -647,13 +647,13 @@ class TestCycleReplay:
     def test_period_five(self, horizon, replays, monkeypatch):
         config = basin_config("period-five", f"analysis.horizon={horizon}")
         net, analysis = cli.build_network(config), config.analysis
-        TestSharedRows.basin_same_as_plain(net, analysis.grid(), horizon, monkeypatch)
+        TestSharedRows.basin_same_as_plain(net, analysis, horizon, monkeypatch)
         TestRolloutIsBatchOfOne.same_as_reference(net, analysis.x0, steps=horizon)
 
         window = min(horizon + 1, 2 * dynamics.DEFAULT_MAX_PERIOD + 1)
         tail_start = horizon + 1 - window
         counter = RowCounter(monkeypatch)
-        dynamics._rollout_tails(net, analysis.grid().cell_centers(), horizon, window)
+        dynamics._rollout_tails(net, analysis.cell_centers(), horizon, window)
         basin_steps, counter.rows = len(counter.rows), []
         rollout(net, analysis.x0, steps=horizon)
         if replays:
@@ -665,7 +665,7 @@ class TestCycleReplay:
 
     def test_cycle_as_long_as_the_window_is_stepped(self, monkeypatch):
         config = basin_config("period-five")
-        net, starts = cli.build_network(config), config.analysis.grid().cell_centers()
+        net, starts = cli.build_network(config), config.analysis.cell_centers()
         TestSharedRows.same_as_plain(net, starts, 300, 5)
         counter = RowCounter(monkeypatch)
         dynamics._rollout_tails(net, starts, 300, 5)

@@ -12,14 +12,12 @@ from neurodissip.plants import (
     IntegrationError,
     PlantDataset,
     benchmark_dataset,
-    cstr_derivative,
     excitation_signal,
     integrate,
     make_plant,
     minmax_constants,
     plant_derivative,
     to_unit_range,
-    two_tank_derivative,
     write_dataset,
 )
 
@@ -111,18 +109,18 @@ def reference_states(plant, x0, inputs, dt, method="rk4", substeps=1):
 class TestCstrDerivative:
     def test_no_reactant_means_no_reaction(self):
         p = CSTR_PARAMETERS
-        dx = cstr_derivative([0.0, 320.0], [300.0], p)
+        dx = plant_derivative(make_plant("cstr", p), [0.0, 320.0], [300.0])
         assert dx[0] == pytest.approx(p["q"] / p["V"] * p["Caf"])
 
     def test_cooling_term_vanishes_at_equal_temperatures(self):
         p = CSTR_PARAMETERS
-        base = cstr_derivative([0.0, 320.0], [320.0], p)
+        base = plant_derivative(make_plant("cstr", p), [0.0, 320.0], [320.0])
         # With u = x2 and no reactant the temperature change is feed-only.
         assert base[1] == pytest.approx(p["q"] / p["V"] * (p["Tf"] - 320.0))
 
     def test_rejects_non_physical_temperature(self):
         with pytest.raises(ValueError, match="non-physical"):
-            cstr_derivative([0.5, -1.0], [300.0], CSTR_PARAMETERS)
+            plant_derivative(make_plant("cstr"), [0.5, -1.0], [300.0])
 
     def test_steady_state_matches_bisection_oracle(self):
         p = CSTR_PARAMETERS
@@ -131,7 +129,7 @@ class TestCstrDerivative:
         k = p["k0"] * np.exp(-p["ER"] / t_ss)
         x1_ss = p["Caf"] / (1.0 + (p["V"] / p["q"]) * k)
         assert 0.87 <= x1_ss <= 0.90
-        residual = cstr_derivative([x1_ss, t_ss], [300.0], p)
+        residual = plant_derivative(make_plant("cstr", p), [x1_ss, t_ss], [300.0])
         assert np.abs(residual).max() < 1e-6
 
     def test_simulation_settles_onto_the_steady_state(self):
@@ -154,29 +152,30 @@ class TestCstrDerivative:
 
 class TestTwoTankDerivative:
     def test_empty_and_idle_stays_empty(self):
-        dx = two_tank_derivative([0.0, 0.0], [0.0, 0.0], {"c1": 0.08, "c2": 0.04})
+        p = {"c1": 0.08, "c2": 0.04}
+        dx = plant_derivative(make_plant("two_tank", p), [0.0, 0.0], [0.0, 0.0])
         np.testing.assert_array_equal(dx, [0.0, 0.0])
 
     def test_pump_fills_first_tank(self):
         p = {"c1": 0.08, "c2": 0.04}
-        dx = two_tank_derivative([0.5, 0.5], [0.0, 1.0], p)
+        dx = plant_derivative(make_plant("two_tank", p), [0.5, 0.5], [0.0, 1.0])
         assert dx[0] == pytest.approx(0.08 - 0.04 * np.sqrt(0.5))
 
     def test_boundary_level_belongs_to_the_active_case(self):
         p = {"c1": 0.08, "c2": 0.04}
-        dx = two_tank_derivative([1.0, 0.5], [0.0, 1.0], p)
+        dx = plant_derivative(make_plant("two_tank", p), [1.0, 0.5], [0.0, 1.0])
         assert dx[0] == pytest.approx(0.08 - 0.04)  # formula, not clamp
 
     def test_overfull_tank_stops_rising_but_can_drain(self):
         p = {"c1": 0.08, "c2": 0.04}
-        rising = two_tank_derivative([1.01, 0.0], [0.0, 1.0], p)
+        rising = plant_derivative(make_plant("two_tank", p), [1.01, 0.0], [0.0, 1.0])
         assert rising[0] == 0.0
-        draining = two_tank_derivative([1.01, 0.0], [0.0, 0.0], p)
+        draining = plant_derivative(make_plant("two_tank", p), [1.01, 0.0], [0.0, 0.0])
         assert draining[0] == pytest.approx(-0.04 * np.sqrt(1.01))
 
     def test_negative_levels_do_not_nan(self):
         p = {"c1": 0.08, "c2": 0.04}
-        dx = two_tank_derivative([-1e-9, -1e-9], [1.0, 1.0], p)
+        dx = plant_derivative(make_plant("two_tank", p), [-1e-9, -1e-9], [1.0, 1.0])
         assert np.isfinite(dx).all()
 
     def test_levels_stay_in_the_physical_box(self):
@@ -325,7 +324,8 @@ class TestDatasetProtocol:
         ds = benchmark_dataset("two_tank", seed=0)
         assert ds.samples == 3000
         assert ds.splits == ((0, 1000), (1000, 2000), (2000, 3000))
-        train_x, train_u = ds.split_arrays("train")
+        lo, hi = ds.splits[0]
+        train_x, train_u = ds.states[lo:hi], ds.inputs[lo:hi]
         assert train_x.shape == (1000, 2) and train_u.shape == (1000, 2)
 
     def test_determinism(self):

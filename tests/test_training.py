@@ -36,9 +36,13 @@ from neurodissip.training import (
     rollout_loss,
     save_checkpoint,
     ssm_rollout,
-    ssm_step,
     train,
 )
+
+
+def one_step(model, x, u):
+    """x+ = f(x) + g(u), as the first step of ssm_rollout."""
+    return ssm_rollout(model, x, np.asarray(u)[None])[1]
 
 
 def linear_ssm(a, b, f_bias=None, g_bias=None):
@@ -74,13 +78,13 @@ class TestSsmStep:
         g = MlpNetwork(layers=(Layer(weight=np.zeros((2, 1))),))
         model = BlockSSM(f_net=f, g_net=g)
         x = rng.uniform(-1, 1, 2)
-        out = ssm_step(model, x, np.asarray([0.7]))
+        out = one_step(model, x, np.asarray([0.7]))
         np.testing.assert_allclose(out, f.forward(x), rtol=0, atol=0)
 
     def test_zero_state_map_is_pure_input_response(self):
         b = np.asarray([[1.5], [-0.25]])
         model = linear_ssm(np.zeros((2, 2)), b)
-        out = ssm_step(model, np.asarray([9.0, -3.0]), np.asarray([2.0]))
+        out = one_step(model, np.asarray([9.0, -3.0]), np.asarray([2.0]))
         np.testing.assert_allclose(out, (b @ [2.0]).ravel())
 
     def test_matches_sum_of_network_forwards(self):
@@ -90,7 +94,7 @@ class TestSsmStep:
         x = np.asarray([0.3, -0.8, 1.1])
         u = np.asarray([0.5, 0.2])
         np.testing.assert_allclose(
-            ssm_step(model, x, u), f.forward(x) + g.forward(u), atol=1e-15
+            one_step(model, x, u), f.forward(x) + g.forward(u), atol=1e-15
         )
 
     def test_output_dimension_mismatch_rejected(self):
@@ -112,7 +116,7 @@ class TestSsmStep:
         assert states.shape == (4, 2)
         for t in range(3):
             np.testing.assert_allclose(
-                states[t + 1], ssm_step(model, states[t], inputs[t])
+                states[t + 1], one_step(model, states[t], inputs[t])
             )
 
 

@@ -106,6 +106,14 @@ def commands() -> list:
                   "--set", "training.optimizer=sgd",
                   "--set", "training.learning_rate=0.01"]))
     cmds.append(("sweep", ["sweep", "--threads", "2"]))
+    # Filtered sweeps: the bench's slice, and one whose bounds filter the
+    # unstructured row (which has no bounds) passes.
+    cmds.append(("sweep-bench-slice",
+                 ["sweep", "--threads", "2", "--depths", "1",
+                  "--activations", "tanh,selu"]))
+    cmds.append(("sweep-svd-unstructured",
+                 ["sweep", "--threads", "2", "--kinds", "spectral_svd,unstructured",
+                  "--bounds", "0.99:1.10", "--bias", "off"]))
     return cmds
 
 
