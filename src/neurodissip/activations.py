@@ -53,7 +53,6 @@ __all__ = [
     "activation_names",
     "secant_gains",
     "ray_gains",
-    "lambda_entry",
 ]
 
 # Below this magnitude the secant/ray quotient switches to its limit form.
@@ -229,7 +228,3 @@ def ray_gains(act: Activation, z: np.ndarray) -> np.ndarray:
     denom = np.where(z < 0.0, np.minimum(z, -EPS_Z), np.maximum(z, EPS_Z))
     return base + act.value_at_zero / denom
 
-
-def lambda_entry(name: str, z: float) -> float:
-    """Scalar secant gain for a named activation (the Lambda diagonal entry)."""
-    return float(secant_gains(get_activation(name), np.asarray([z]))[0])

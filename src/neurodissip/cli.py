@@ -103,6 +103,8 @@ class AnalysisSpec(GridSpec):
             raise ConfigError("analysis horizon and anchors must be positive")
         if self.mode not in ("linear", "affine"):
             raise ConfigError(f"analysis.mode must be 'linear' or 'affine', got {self.mode!r}")
+        if not self.depths:
+            raise ConfigError("analysis.depths must not be empty")
         if any(d < 1 for d in self.depths):
             raise ConfigError("analysis.depths must be positive")
 
@@ -174,7 +176,12 @@ class ExperimentConfig:
         unknown = set(data) - set(_SECTIONS) - {"seed"}
         if unknown:
             raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-        kwargs: dict = {"seed": int(data["seed"])} if "seed" in data else {}
+        kwargs: dict = {}
+        if "seed" in data:
+            # A JSON integer only: int() would truncate 1.7 and accept true.
+            if type(data["seed"]) is not int:
+                raise ConfigError(f"seed must be an integer, got {data['seed']!r}")
+            kwargs["seed"] = data["seed"]
         for name, section_cls in _SECTIONS.items():
             if name not in data:
                 continue

@@ -335,22 +335,17 @@ def dissipativity_penalty(net: MlpNetwork, anchors):
     if over.any():
         u, _, vt = np.linalg.svd(a[over])
         it = iter(lambdas)
-        gains = [None if layer.activation is None else next(it)[over]
-                 for layer in net.layers]
-        # Up the layers: rights[l] = R_l v, the input of layer l along v.
-        r, rights = vt[:, 0, :], []
-        for layer, g in zip(net.layers, gains):
-            rights.append(r)
+        # Up the layers: layer l's input along v is R_l v, and its gains
+        # D_l take the place of the slopes in the network's transpose
+        # walk, which sums (D_l L_l^T u)(R_l v)^T over the anchors.
+        r, trace = vt[:, 0, :], []
+        for layer in net.layers:
+            g = None if layer.act is None else next(it)[over]
+            trace.append((r, None, g))
             r = r @ layer.weight.T
             r = r if g is None else g * r
-        # Down the layers: left = L_l^T u; layer l's gradient sums
-        # (D_l L_l^T u)(R_l v)^T over the anchors.
-        left = u[:, :, 0]
-        for i in range(len(net.layers) - 1, -1, -1):
-            g = gains[i]
-            d = left if g is None else g * left
-            grads[i] = (d.T @ rights[i]) / anchors.shape[0]
-            left = d @ net.layers[i].weight
+        net.backward(trace, u[:, :, 0], grads, [None] * len(net.layers))
+        grads = [g / anchors.shape[0] for g in grads]
     return float(np.mean(np.maximum(1.0, norms))), grads
 
 

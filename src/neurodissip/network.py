@@ -5,6 +5,11 @@ activation None is a linear readout.  "Depth L" throughout the package
 means L activated layers with no extra readout, so a 1-layer relu network
 is x -> relu(W x + b).
 
+MlpNetwork owns the one forward walk, forward_trace, which also keeps
+each layer's input, pre-activation and, on request, activation slope.
+It owns the one transpose walk too, backward, which the BPTT trainer and
+the dissipativity penalty's gradient share.
+
 The JSON schema round-trips float64 weights losslessly::
 
     {"layers": [{"rows": 2, "cols": 2,
@@ -94,13 +99,16 @@ class MlpNetwork:
         """Evaluate the network at a point (dim,) or a batch (n, dim)."""
         return self.forward_trace(x)[0]
 
-    def forward_trace(self, x):
-        """Evaluate and return (output, pre-activations per layer).
+    def forward_trace(self, x, slopes: bool = False):
+        """Evaluate and return (output, trace): the package's one forward walk.
 
         x is one point (dim,) or a batch (n, dim); a point is the batch
-        of one, bit for bit, since h @ W.T on a vector equals W @ h.  The
-        trace holds z_l = h_l W_l^T + b_l for every layer, including an
-        unactivated readout (whose z is the output itself).
+        of one, bit for bit, since h @ W.T on a vector equals W @ h.
+        trace[l] is (h_l, z_l, s_l): layer l's input, its pre-activation
+        z_l = h_l W_l^T + b_l (for an unactivated readout, the output
+        itself), and, only when slopes is set, the activation's derivative
+        at z_l from value_and_slope; s_l is None for a linear layer.  The
+        output and every z_l are the same bits with or without slopes.
         """
         h = np.asarray(x, dtype=float)
         if h.ndim not in (1, 2) or h.shape[-1] != self.input_dim:
@@ -108,14 +116,40 @@ class MlpNetwork:
                 f"input shape {h.shape} does not match network input "
                 f"dimension {self.input_dim}"
             )
-        zs = []
+        trace = []
         for layer in self.layers:
             z = h @ layer.weight.T
             if layer.bias is not None:
                 z = z + layer.bias
-            zs.append(z)
-            h = layer.act.fn(z) if layer.activation is not None else z
-        return h, zs
+            s = None
+            if layer.act is None:
+                out = z
+            elif slopes:
+                out, s = layer.act.value_and_slope(z)
+            else:
+                out = layer.act.fn(z)
+            trace.append((h, z, s))
+            h = out
+        return h, trace
+
+    def backward(self, trace, gout, gw, gb):
+        """The one transpose walk: pull an output gradient back to the input.
+
+        trace is forward_trace's, or any list of (h_l, _, s_l) with the
+        same meaning, for a batch: gout is (n, output_dim).  Layer l's
+        pre-activation gradient is gz = gout * s_l (gout where s_l is
+        None); gz^T h_l is added into gw[l] and, where gb[l] is not None,
+        gz summed over the batch into gb[l].  Returns the (n, input_dim)
+        input gradient.
+        """
+        for l in range(len(self.layers) - 1, -1, -1):
+            h, _, s = trace[l]
+            gz = gout if s is None else gout * s
+            gw[l] += gz.T @ h
+            if gb[l] is not None:
+                gb[l] += gz.sum(axis=0)
+            gout = gz @ self.layers[l].weight
+        return gout
 
     def to_dict(self) -> dict:
         return {

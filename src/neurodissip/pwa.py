@@ -77,12 +77,12 @@ def extract_pwa_batch(net: MlpNetwork, xs, mode: str = "affine"):
     if xs.ndim != 2:
         raise ValueError(f"anchors must be (n, dim), got shape {xs.shape}")
     n = xs.shape[0]
-    _, zs = net.forward_trace(xs)
+    _, trace = net.forward_trace(xs)
 
     a = None  # accumulated map, input -> current value
     b = np.zeros((n, net.input_dim))
     lambdas = []
-    for layer, z in zip(net.layers, zs):
+    for layer, (_, z, _) in zip(net.layers, trace):
         w = layer.weight
         # The stacked w @ a runs one matrix product per anchor, so a batch
         # of one rounds as a single-anchor loop; a fused contraction over

@@ -7,7 +7,7 @@ Four families of square (or, for the SVD route, rectangular) linear maps:
   is bounded by the largest row sum.
 * ``spectral_svd`` (SpectralWeight): W = U diag(sigma) V with U, V
   products of Householder reflectors, so the singular values are set
-  directly.  SpectralFreeWeight is its free-factor training variant.
+  directly.
 * ``gershgorin_real`` / ``gershgorin_complex`` (GershgorinWeight):
   off-diagonal mass scaled so every Gershgorin disc has the prescribed
   centre and radius; the complex variant antisymmetrizes the off-diagonal
@@ -101,10 +101,9 @@ class StructuredWeight:
     order; params() returns the live arrays an optimizer mutates;
     realize() maps them to the weight without touching an RNG, so two
     calls are bit-identical; vjp(g) pulls a weight-space gradient back to
-    raw-parameter space.  penalty()/penalty_grads() expose a structural
-    soft penalty (zero for everything except the free-factor SVD form).
-    Constructors validate bounds and shapes once, so realize() is plain
-    arithmetic and a non-finite optimizer step shows up in its output.
+    raw-parameter space.  Constructors validate bounds and shapes once,
+    so realize() is plain arithmetic and a non-finite optimizer step
+    shows up in its output.
     """
 
     kind = ""
@@ -122,12 +121,6 @@ class StructuredWeight:
 
     def vjp(self, grad) -> list:
         raise NotImplementedError
-
-    def penalty(self) -> float:
-        return 0.0
-
-    def penalty_grads(self):
-        return None
 
     def _set_bounds(self, lambda_min: float, lambda_max: float,
                     nonnegative: bool = False) -> None:
@@ -273,28 +266,6 @@ class GershgorinWeight(StructuredWeight):
         return [gn]
 
 
-def _svd_realize(u, v, sigma_raw, lambda_min, lambda_max):
-    k = sigma_raw.shape[0]
-    sig = damping_interval(sigma_raw, lambda_min, lambda_max)
-    return u[:, :k] @ np.diag(sig) @ v[:k, :]
-
-
-def _svd_vjp(u, v, sigma_raw, lambda_min, lambda_max, grad):
-    """Gradients of U[:, :k] diag(sigma) V[:k, :] in U, V and sigma_raw."""
-    grad = np.asarray(grad, dtype=float)
-    k = sigma_raw.shape[0]
-    sig = damping_interval(sigma_raw, lambda_min, lambda_max)
-    uk, vk = u[:, :k], v[:k, :]
-    g_sig = np.einsum("ai,ab,ib->i", uk, grad, vk)
-    p = _logistic(sigma_raw)
-    g_sigma_raw = g_sig * (-(lambda_max - lambda_min) * p * (1.0 - p))
-    gu = np.zeros_like(u)
-    gu[:, :k] = grad @ vk.T * sig
-    gv = np.zeros_like(v)
-    gv[:k, :] = sig[:, None] * (uk.T @ grad)
-    return gu, gv, g_sigma_raw
-
-
 def _householder_backward(vectors, grad_q):
     """Raw-vector gradients of a product of reflectors.
 
@@ -360,12 +331,26 @@ class SpectralWeight(StructuredWeight):
                 householder_orthogonal(self.v_vectors))
 
     def realize(self):
-        return _svd_realize(*self._factors(), self.sigma_raw,
-                            self.lambda_min, self.lambda_max)
+        u, v = self._factors()
+        k = self.sigma_raw.shape[0]
+        sig = damping_interval(self.sigma_raw, self.lambda_min, self.lambda_max)
+        return u[:, :k] @ np.diag(sig) @ v[:k, :]
 
     def vjp(self, grad):
-        gu, gv, g_sigma_raw = _svd_vjp(*self._factors(), self.sigma_raw,
-                                       self.lambda_min, self.lambda_max, grad)
+        """Gradients of U[:, :k] diag(sigma) V[:k, :] in the raw parameters."""
+        grad = np.asarray(grad, dtype=float)
+        u, v = self._factors()
+        k = self.sigma_raw.shape[0]
+        lo, hi = self.lambda_min, self.lambda_max
+        sig = damping_interval(self.sigma_raw, lo, hi)
+        uk, vk = u[:, :k], v[:k, :]
+        g_sig = np.einsum("ai,ab,ib->i", uk, grad, vk)
+        p = _logistic(self.sigma_raw)
+        g_sigma_raw = g_sig * (-(hi - lo) * p * (1.0 - p))
+        gu = np.zeros_like(u)
+        gu[:, :k] = grad @ vk.T * sig
+        gv = np.zeros_like(v)
+        gv[:k, :] = sig[:, None] * (uk.T @ grad)
         # The raw vectors are used unnormalized; householder_orthogonal's
         # explicit normalization equals the 2/s form differentiated here.
         return [
@@ -373,70 +358,6 @@ class SpectralWeight(StructuredWeight):
             _householder_backward(self.v_vectors, gv),
             g_sigma_raw,
         ]
-
-
-class SpectralFreeWeight(StructuredWeight):
-    """SVD-factorized weight with free factors and a soft orthogonality pull.
-
-    The documented alternative to reflector products: U and V are plain
-    matrices, and penalty() adds softplus(||U^T U - I||_F^2) per factor so
-    training keeps them near the orthogonal manifold without enforcing it.
-    The singular-value bounds remain hard (they come from the logistic
-    squash), only orthogonality is soft, so the spectral guarantee is
-    approximate for this variant.
-    """
-
-    kind = "spectral_free"
-
-    def __init__(self, u_mat, v_mat, sigma_raw, lambda_min: float,
-                 lambda_max: float, penalty_weight: float = 1.0):
-        self._set_bounds(lambda_min, lambda_max)
-        self.u_mat = np.array(u_mat, dtype=float)
-        self.v_mat = np.array(v_mat, dtype=float)
-        self.sigma_raw = np.array(sigma_raw, dtype=float).reshape(-1)
-        self.penalty_weight = float(penalty_weight)
-        self.realize()
-
-    @classmethod
-    def draw(cls, rows, cols, lambda_min, lambda_max, rng,
-             penalty_weight: float = 1.0):
-        """SpectralWeight's draw, with the reflector products as factors."""
-        s = SpectralWeight.draw(rows, cols, lambda_min, lambda_max, rng)
-        return cls(*s._factors(), s.sigma_raw, lambda_min, lambda_max,
-                   penalty_weight)
-
-    def params(self):
-        return [self.u_mat, self.v_mat, self.sigma_raw]
-
-    def realize(self):
-        return _svd_realize(self.u_mat, self.v_mat, self.sigma_raw,
-                            self.lambda_min, self.lambda_max)
-
-    def vjp(self, grad):
-        return list(_svd_vjp(self.u_mat, self.v_mat, self.sigma_raw,
-                             self.lambda_min, self.lambda_max, grad))
-
-    def _factor_penalties(self):
-        out = []
-        for mat in (self.u_mat, self.v_mat):
-            dev = mat.T @ mat - np.eye(mat.shape[1])
-            out.append((float(np.sum(dev * dev)), dev))
-        return out
-
-    def penalty(self) -> float:
-        total = 0.0
-        for q, _ in self._factor_penalties():
-            total += float(np.logaddexp(0.0, q))
-        return self.penalty_weight * total
-
-    def penalty_grads(self):
-        grads = []
-        for mat, (q, dev) in zip((self.u_mat, self.v_mat),
-                                 self._factor_penalties()):
-            grads.append(self.penalty_weight * _logistic(np.asarray(q))
-                         * 4.0 * mat @ dev)
-        grads.append(np.zeros_like(self.sigma_raw))
-        return grads
 
 
 _DRAWS = {
@@ -472,8 +393,8 @@ def guarantee_report(weight: StructuredWeight, w: Optional[np.ndarray] = None) -
 
     The kind and bounds come from the weight; w defaults to its
     realization.  Returns eigenvalues (square maps), singular values, the
-    checks run, and an overall pass flag.  Kinds without a guarantee
-    (unstructured, spectral_free) pass vacuously.
+    checks run, and an overall pass flag.  The unstructured kind has no
+    guarantee and passes vacuously.
     """
     if w is None:
         w = weight.realize()

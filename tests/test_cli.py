@@ -83,6 +83,15 @@ class TestConfigSchema:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"network": {"depth": "deep"}})
 
+    @pytest.mark.parametrize("seed", ["x", 1.7, True])
+    def test_seed_must_be_a_json_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            ExperimentConfig.from_dict({"seed": seed})
+
+    def test_empty_depths_rejected(self):
+        with pytest.raises(ConfigError, match="analysis.depths must not be empty"):
+            ExperimentConfig.from_dict({"analysis": {"depths": []}})
+
     def test_unknown_map_kind_rejected(self):
         with pytest.raises(ConfigError, match="unknown map kind"):
             ExperimentConfig.from_dict({"map": {"kind": "cayley"}})
@@ -497,6 +506,13 @@ class TestSpectraCommand:
         moduli = csv_rows(tmp_path / "eigenvalues.csv")
         assert {row["depth"] for row in moduli} == {"1", "4"}
 
+
+    def test_empty_depths_fail_before_any_study(self, tmp_path, capsys):
+        rc = main(["spectra", "--preset", "depth-damping", "--out", str(tmp_path),
+                   "--set", "analysis.resolution=4", "--set", "analysis.depths=[]"])
+        assert rc == 1
+        assert "analysis.depths must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "spectra_summary.json").exists()
 
     def test_overflowing_depth_warns_nothing(self, tmp_path, capsys):
         # The suite turns a RuntimeWarning raised in neurodissip into an

@@ -13,7 +13,6 @@ from neurodissip.activations import (
     ACTIVATIONS,
     EPS_Z,
     get_activation,
-    lambda_entry,
     ray_gains,
     secant_gains,
 )
@@ -69,20 +68,22 @@ class TestActivationValues:
 
 class TestGains:
     def test_relu_branches(self):
-        assert lambda_entry("relu", 2.0) == 1.0
-        assert lambda_entry("relu", -2.0) == 0.0
+        relu = get_activation("relu")
+        assert secant_gains(relu, np.asarray([2.0]))[0] == 1.0
+        assert secant_gains(relu, np.asarray([-2.0]))[0] == 0.0
         # Inactive convention at exactly zero.
-        assert lambda_entry("relu", 0.0) == 0.0
+        assert secant_gains(relu, np.asarray([0.0]))[0] == 0.0
 
     def test_small_z_fallback_is_right_slope(self):
-        assert lambda_entry("tanh", 1e-12) == 1.0
-        assert lambda_entry("sigmoid", 0.0) == 0.25
-        assert lambda_entry("gelu", -1e-12) == 0.5
+        assert secant_gains(get_activation("tanh"), np.asarray([1e-12]))[0] == 1.0
+        assert secant_gains(get_activation("sigmoid"), np.asarray([0.0]))[0] == 0.25
+        assert secant_gains(get_activation("gelu"), np.asarray([-1e-12]))[0] == 0.5
 
     def test_sigmoid_secant_value(self):
         z = 4.0
         want = (1.0 / (1.0 + np.exp(-z)) - 0.5) / z
-        assert lambda_entry("sigmoid", z) == pytest.approx(want, rel=1e-12)
+        got = secant_gains(get_activation("sigmoid"), np.asarray([z]))[0]
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_secant_identity_reconstructs_value(self):
         # sigma(z) == lambda * z + sigma(0) away from the fallback band.
@@ -221,10 +222,14 @@ class TestMlpNetwork:
             Layer(weight=w1),
         ))
         x = np.array([0.3, -0.7])
-        y, zs = net.forward_trace(x)
-        assert len(zs) == 2
-        np.testing.assert_allclose(zs[0], w0 @ x, atol=1e-15)
-        np.testing.assert_allclose(zs[1], y, atol=1e-15)
+        y, trace = net.forward_trace(x)
+        assert len(trace) == 2
+        (h0, z0, s0), (h1, z1, s1) = trace
+        np.testing.assert_array_equal(h0, x)
+        np.testing.assert_allclose(z0, w0 @ x, atol=1e-15)
+        np.testing.assert_array_equal(h1, np.maximum(z0, 0.0))
+        np.testing.assert_allclose(z1, y, atol=1e-15)
+        assert s0 is None and s1 is None
 
     def test_forward_batch_matches_single(self):
         rng = np.random.default_rng(2)
@@ -234,12 +239,40 @@ class TestMlpNetwork:
             Layer(weight=rng.standard_normal((2, 4)), activation="tanh"),
         ))
         xs = rng.standard_normal((10, 2))
-        ys, zs = net.forward_trace(xs)
-        assert ys.shape == (10, 2) and [z.shape for z in zs] == [(10, 4), (10, 2)]
+        ys, trace = net.forward_trace(xs)
+        assert ys.shape == (10, 2)
+        assert [z.shape for _, z, _ in trace] == [(10, 4), (10, 2)]
         for i, x in enumerate(xs):
-            yi, zi = net.forward_trace(x)
+            yi, trace_i = net.forward_trace(x)
             np.testing.assert_allclose(ys[i], yi, atol=1e-12)
-            np.testing.assert_allclose(zs[0][i], zi[0], atol=1e-12)
+            np.testing.assert_allclose(trace[0][1][i], trace_i[0][1], atol=1e-12)
+
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_slopes_leave_the_walk_unchanged(self, activation):
+        # The trainer's walk (slopes=True) and the analysis walk must be
+        # the same bits, and each slope must be the activation's deriv;
+        # gelu's slope comes from its joint value-and-slope path.
+        rng = np.random.default_rng(sorted(ACTIVATIONS).index(activation))
+        net = MlpNetwork(layers=(
+            Layer(weight=rng.standard_normal((4, 3)), activation=activation),
+            Layer(weight=rng.standard_normal((4, 4)),
+                  bias=rng.standard_normal(4), activation=activation),
+            Layer(weight=rng.standard_normal((2, 4))),
+        ))
+        batch = np.vstack([np.zeros(3), 2.0 * rng.standard_normal((15, 3))])
+        for x in (batch[1], batch):
+            y, plain = net.forward_trace(x)
+            y_s, sloped = net.forward_trace(x, slopes=True)
+            assert y_s.tobytes() == y.tobytes()
+            assert len(sloped) == len(plain) == len(net.layers)
+            for layer, (h, z, s), (h_s, z_s, s_s) in zip(net.layers, plain, sloped):
+                assert s is None
+                assert h_s.tobytes() == h.tobytes()
+                assert z_s.tobytes() == z.tobytes()
+                if layer.act is None:
+                    assert s_s is None
+                else:
+                    assert s_s.tobytes() == layer.act.deriv(z).tobytes()
 
     def test_wrong_input_dim(self):
         net = MlpNetwork(layers=(Layer(weight=np.eye(2), activation="relu"),))

@@ -67,13 +67,14 @@ class TestReluNetworks:
         rng = np.random.default_rng(2)
         net = random_net(rng, [2, 4, 2], "relu", readout=True)
         x = rng.standard_normal(2)
-        _, zs = net.forward_trace(x)
-        pattern = [z > 0 for z in zs[:-1]]
+        _, trace = net.forward_trace(x)
+        pattern = [z > 0 for _, z, _ in trace[:-1]]
         # A tiny perturbation that keeps the same sign pattern.
         for _ in range(50):
             dx = 1e-6 * rng.standard_normal(2)
-            _, zs2 = net.forward_trace(x + dx)
-            if all(((z2 > 0) == p).all() for z2, p in zip(zs2[:-1], pattern)):
+            _, trace2 = net.forward_trace(x + dx)
+            if all(((z2 > 0) == p).all()
+                   for (_, z2, _), p in zip(trace2[:-1], pattern)):
                 f1 = extract_pwa(net, x)
                 f2 = extract_pwa(net, x + dx)
                 np.testing.assert_array_equal(f1.a_star, f2.a_star)
@@ -226,10 +227,10 @@ class TestBatchOfOneIsBitExact:
                         anchors = [np.zeros(3)] + list(2.0 * rng.standard_normal((3, 3)))
                         for x in anchors:
                             want_y, want_zs = reference_forward_trace(net, x)
-                            y, zs = net.forward_trace(x)
+                            y, trace = net.forward_trace(x)
                             np.testing.assert_array_equal(y, want_y)
-                            assert len(zs) == len(want_zs)
-                            for z, want_z in zip(zs, want_zs):
+                            assert len(trace) == len(want_zs)
+                            for (_, z, _), want_z in zip(trace, want_zs):
                                 np.testing.assert_array_equal(z, want_z)
                             np.testing.assert_array_equal(net.forward(x), want_y)
                             for mode in ("affine", "linear"):

@@ -11,7 +11,6 @@ from neurodissip.structured import (
     FreeWeight,
     GershgorinWeight,
     PfWeight,
-    SpectralFreeWeight,
     SpectralWeight,
     draw_map,
     guarantee_report,
@@ -301,24 +300,6 @@ class TestDeterminism:
                             continue
                         got = draw_map(kind, rows, lo, hi, seed=seed, cols=cols)
                         np.testing.assert_array_equal(got.realize(), expected)
-
-    def test_spectral_free_draw_uses_the_reflector_products(self):
-        for rows, cols in [(3, 3), (4, 2), (2, 4)]:
-            w = SpectralFreeWeight.draw(rows, cols, 0.2, 0.9,
-                                        np.random.default_rng(7))
-            rng = np.random.default_rng(7)
-            u_vectors = [rng.standard_normal(rows) for _ in range(rows)]
-            v_vectors = [rng.standard_normal(cols) for _ in range(cols)]
-            sigma_raw = rng.standard_normal(min(rows, cols))
-            np.testing.assert_array_equal(
-                w.u_mat, householder_orthogonal(u_vectors))
-            np.testing.assert_array_equal(
-                w.v_mat, householder_orthogonal(v_vectors))
-            np.testing.assert_array_equal(w.sigma_raw, sigma_raw)
-            np.testing.assert_array_equal(
-                w.realize(),
-                reference_spectral_from_params(u_vectors, v_vectors,
-                                               sigma_raw, 0.2, 0.9))
 
     def test_rng_draw_order_is_stable(self):
         # Regression pin: the Gershgorin generator draws a full n x n
