@@ -5,9 +5,11 @@ A CSV table is a header plus one iterable per column; each column becomes
 a list of fields once, and rows are joined from them as the file is
 written.  ``Numbers`` formats an array once for several files that write
 it.
-JSON documents are indented by two spaces and end with a newline; they
-are ``json.dumps(doc, indent=2)``, byte for byte, and may also hold float,
-int and bool ndarrays, written as nested lists with NaN as ``null``.
+JSON documents are ``json.dumps(doc, indent=2)`` plus a newline, except
+that every non-finite float (scalar, array entry, ``Numbers`` field or
+``json_pairs`` entry) is ``null``, as RFC 8259 has no ``NaN`` or
+``Infinity``; they may also hold float, int and bool ndarrays, written as
+nested lists.  A CSV number keeps its ``repr`` (``nan``, ``inf``).
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def json_pairs(rows):
     finite = np.isfinite(rows).all(axis=1)
     if finite.all():
         return pairs
-    return (pair if ok else json.dumps(row)
+    return (pair if ok else "[{}, {}]".format(*(_json(v, False, "") for v in row))
             for pair, ok, row in zip(pairs, finite.tolist(), rows.tolist()))
 
 
@@ -117,7 +119,8 @@ def write_json(path, doc, sort_keys: bool = False) -> None:
 
 
 def _json(value, sort_keys: bool, newline: str) -> str:
-    """``json.dumps(value, indent=2)`` at the indent ``newline`` ends with.
+    """``json.dumps(value, indent=2)`` at the indent ``newline`` ends with,
+    non-finite floats written ``null``.
 
     The indented mode of ``json.dumps`` runs the pure-Python encoder, one
     generator step per value; ndarrays are formatted here a whole array at
@@ -154,8 +157,7 @@ def _json(value, sort_keys: bool, newline: str) -> str:
 
 _json_string = json.encoder.encode_basestring_ascii
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_JSON_ARRAY_NON_FINITE = dict(_JSON_NON_FINITE, nan="null")
+_JSON_NON_FINITE = dict.fromkeys(("nan", "inf", "-inf"), "null")
 
 
 def _json_key(key) -> str:
@@ -168,13 +170,13 @@ def _json_key(key) -> str:
 
 
 def _json_array(arr: np.ndarray, newline: str, fields=None) -> str:
-    """A float, int or bool ndarray as its ``tolist``, with NaN as null;
-    a float array's ``repr`` fields may come already formatted."""
+    """A float, int or bool ndarray as its ``tolist``, non-finite floats
+    as null; a float array's ``repr`` fields may come already formatted."""
     if arr.dtype.kind == "f":
         if fields is None:
             fields = list(map(repr, arr.astype(float).ravel().tolist()))
         if not np.isfinite(arr).all():
-            fields = [_JSON_ARRAY_NON_FINITE.get(f, f) for f in fields]
+            fields = [_JSON_NON_FINITE.get(f, f) for f in fields]
     elif arr.dtype.kind == "b":
         fields = [_JSON_CONSTANTS[v] for v in arr.ravel().tolist()]
     elif arr.dtype.kind in "iu":
@@ -199,25 +201,3 @@ def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
-
-def plain(value):
-    """Recursively convert numpy scalars/arrays into JSON-ready values;
-    non-finite floats become their ``repr`` strings."""
-    if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return [[float(v.real), float(v.imag)] for v in value.ravel()]
-        return value.tolist()
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return v if np.isfinite(v) else repr(v)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, dict):
-        return {str(k): plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [plain(v) for v in value]
-    return value

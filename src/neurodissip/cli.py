@@ -2,7 +2,8 @@
 
 Every subcommand reads one ExperimentConfig (from a named preset, a JSON
 file, or built-in defaults), optionally patched by ``--set`` dotted-path
-overrides, and writes fixed-name artifacts under ``--out``.  Sections are
+overrides, and writes fixed-name artifacts under ``--out``; ``main`` loads
+the config and creates ``--out`` before any subcommand runs.  Sections are
 checked at load; ``analysis`` is a GridSpec and ``training`` a TrainConfig,
 each passed to the library as it is.  Outputs are deterministic for a
 given config and seed; the only run-dependent value is a timestamp kept
@@ -78,8 +79,7 @@ class MapSpec:
     def __post_init__(self):
         if self.kind not in structured.MAP_KINDS:
             raise ConfigError(f"unknown map kind {self.kind!r}")
-        if not float(self.lambda_min) <= float(self.lambda_max):
-            raise ConfigError("lambda_min must not exceed lambda_max")
+        structured.check_bounds(self.kind, float(self.lambda_min), float(self.lambda_max))
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,9 @@ class PlantSpec:
     def __post_init__(self):
         if self.name not in plants.PLANT_KINDS:
             raise ConfigError(f"unknown plant {self.name!r}")
+        if self.method not in plants.STEPPERS:
+            raise ConfigError(f"unknown plant.method {self.method!r}; "
+                              f"use {' or '.join(plants.STEPPERS)}")
         if self.samples < 3:
             raise ConfigError("plant.samples must be at least 3")
 
@@ -382,10 +385,6 @@ def _metadata(command: str, config: ExperimentConfig) -> dict:
     }
 
 
-def _write_json(path, payload: dict) -> None:
-    artifacts.write_json(path, artifacts.plain(payload), sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # Certification
 # ---------------------------------------------------------------------------
@@ -566,46 +565,37 @@ def enumerate_sweep(base: ExperimentConfig, kinds=None, bounds=None,
 
 
 def _load_config(args) -> ExperimentConfig:
-    if getattr(args, "preset", None) and getattr(args, "config", None):
+    if args.preset and args.config:
         raise ConfigError("give either --preset or --config, not both")
     data: dict = {}
-    if getattr(args, "preset", None):
+    if args.preset:
         data = json.loads(json.dumps(PRESETS[args.preset]))
-    elif getattr(args, "config", None):
+    elif args.config:
         with open(args.config) as fh:
             data = _config_data(fh.read())
-    for assignment in getattr(args, "set", None) or []:
+    for assignment in args.set or []:
         apply_override(data, assignment)
     return ExperimentConfig.from_dict(data)
 
 
-def _outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
-def cmd_pwa(args) -> int:
-    config = _load_config(args)
-    out = _outdir(args)
+def cmd_pwa(args, config) -> int:
     net = build_network(config)
     x = _as_tuple(args.x.split(","), float, "--x", net.input_dim)
     form = extract_pwa(net, x, mode=config.analysis.mode)
     residual = verify_equivalence(net, form)
-    _write_json(os.path.join(out, "pwa.json"), {
+    artifacts.write_json(os.path.join(args.out, "pwa.json"), {
         "anchor": form.anchor,
         "a_star": form.a_star,
         "b_star": form.b_star,
         "mode": form.mode,
         "residual": residual,
         "metadata": _metadata("pwa", config),
-    })
+    }, sort_keys=True)
     print(f"pwa: residual={residual:.3e} at x={list(x)}")
     return 0 if residual <= 1e-6 else 1
 
 
-def cmd_grid(args) -> int:
-    config = _load_config(args)
-    out = _outdir(args)
+def cmd_grid(args, config) -> int:
     if args.checkpoint:
         # Post-hoc analysis of an identified model: the state map f is
         # the autonomous part, so it is what the grid interrogates.
@@ -614,14 +604,14 @@ def cmd_grid(args) -> int:
         net = build_network(config)
     analysis = dissipativity.certify_region(net, config.analysis,
                                             config.analysis.mode)
-    dissipativity.write_grid_csv(analysis, os.path.join(out, "grid.csv"))
-    dissipativity.write_grid_json(analysis, os.path.join(out, "grid.json"))
+    dissipativity.write_grid_csv(analysis, os.path.join(args.out, "grid.csv"))
+    dissipativity.write_grid_json(analysis, os.path.join(args.out, "grid.json"))
     summary = analysis.summary()
-    _write_json(os.path.join(out, "grid_summary.json"), {
+    artifacts.write_json(os.path.join(args.out, "grid_summary.json"), {
         "summary": summary,
         "worst_cell": analysis.worst_cell(),
         "metadata": _metadata("grid", config),
-    })
+    }, sort_keys=True)
     errors = f", {summary['errors']} error cells" if summary["errors"] else ""
     max_a = summary["max_a_norm"]
     print(f"grid: {summary['dissipative']}/{summary['cells']} dissipative cells "
@@ -630,37 +620,34 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def cmd_spectra(args) -> int:
-    config = _load_config(args)
-    out = _outdir(args)
+def cmd_spectra(args, config) -> int:
     template = build_network(config).layers[0]
     anchors = config.analysis.cell_centers()
     studies = dynamics.depth_spectra(template, config.analysis.depths, anchors,
                                      mode=config.analysis.mode)
-    dynamics.write_spectra_csv(studies, os.path.join(out, "histograms.csv"))
-    artifacts.write_csv(os.path.join(out, "eigenvalues.csv"), ("depth", "modulus"), (
+    dynamics.write_spectra_csv(studies, os.path.join(args.out, "histograms.csv"))
+    artifacts.write_csv(os.path.join(args.out, "eigenvalues.csv"),
+                        ("depth", "modulus"), (
         chain.from_iterable(repeat(s.depth, s.eigenvalue_moduli.size) for s in studies),
         chain.from_iterable(artifacts.numbers(s.eigenvalue_moduli) for s in studies),
     ))
     medians = {study.depth: study.median_modulus() for study in studies}
-    _write_json(os.path.join(out, "spectra_summary.json"), {
+    artifacts.write_json(os.path.join(args.out, "spectra_summary.json"), {
         "median_modulus": {str(d): m for d, m in medians.items()},
         "anchors": anchors.shape[0],
         "metadata": _metadata("spectra", config),
-    })
+    }, sort_keys=True)
     print("spectra: median modulus " + ", ".join(
         f"depth {d}: {m:.4f}" for d, m in medians.items()))
     return 0
 
 
-def cmd_rollout(args) -> int:
-    config = _load_config(args)
-    out = _outdir(args)
+def cmd_rollout(args, config) -> int:
     net = build_network(config)
     traj = dynamics.rollout(net, config.analysis.x0,
                             steps=config.analysis.horizon)
-    dynamics.write_trajectory_csv(traj, os.path.join(out, "trajectory.csv"))
-    _write_json(os.path.join(out, "rollout.json"), {
+    dynamics.write_trajectory_csv(traj, os.path.join(args.out, "trajectory.csv"))
+    artifacts.write_json(os.path.join(args.out, "rollout.json"), {
         "classification": traj.classification,
         "halt": traj.halt,
         "steps": traj.steps,
@@ -668,45 +655,39 @@ def cmd_rollout(args) -> int:
         "limit": traj.limit,
         "tail_bounds": traj.tail_bounds,
         "metadata": _metadata("rollout", config),
-    })
+    }, sort_keys=True)
     print(f"rollout: {traj.classification} after {traj.steps} steps")
     return 0
 
 
-def cmd_basin(args) -> int:
-    config = _load_config(args)
-    out = _outdir(args)
+def cmd_basin(args, config) -> int:
     net = build_network(config)
     basin = dynamics.basin_map(net, config.analysis,
                                steps=config.analysis.horizon)
-    dynamics.write_basin_csv(basin, os.path.join(out, "basin.csv"))
+    dynamics.write_basin_csv(basin, os.path.join(args.out, "basin.csv"))
     summary = basin.summary()
-    _write_json(os.path.join(out, "basin_summary.json"), {
+    artifacts.write_json(os.path.join(args.out, "basin_summary.json"), {
         "summary": summary,
         "limit_points": basin.limit_points,
         "metadata": _metadata("basin", config),
-    })
+    }, sort_keys=True)
     print("basin: " + ", ".join(f"{k}={v}" for k, v in sorted(
         summary["classes"].items())) + f", clusters={summary['limit_clusters']}")
     return 0
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args)
-    out = _outdir(args)
+def cmd_simulate(args, config) -> int:
     spec = config.plant
     dataset = plants.benchmark_dataset(spec.name, seed=spec.seed,
                                        samples=spec.samples, method=spec.method)
-    plants.write_dataset(dataset, os.path.join(out, "dataset.csv"),
-                         os.path.join(out, "dataset.json"))
+    plants.write_dataset(dataset, os.path.join(args.out, "dataset.csv"),
+                         os.path.join(args.out, "dataset.json"))
     print(f"simulate: {spec.name} {dataset.samples} samples, "
           f"splits {dataset.splits}")
     return 0
 
 
-def cmd_train(args) -> int:
-    config = _load_config(args)
-    out = _outdir(args)
+def cmd_train(args, config) -> int:
     spec = config.training
     dataset = plants.benchmark_dataset(config.plant.name, seed=config.plant.seed,
                                        samples=config.plant.samples,
@@ -727,8 +708,8 @@ def cmd_train(args) -> int:
     best_mse = training.open_loop_mse(report.best_model, test_states,
                                       test_inputs)
     training.save_checkpoint(report.best_model,
-                             os.path.join(out, "checkpoint"), report)
-    _write_json(os.path.join(out, "train_summary.json"), {
+                             os.path.join(args.out, "checkpoint"), report)
+    artifacts.write_json(os.path.join(args.out, "train_summary.json"), {
         "plant": config.plant.name,
         "init_test_mse": init_mse,
         "best_test_mse": best_mse,
@@ -736,18 +717,17 @@ def cmd_train(args) -> int:
         "best_epoch": report.best_epoch,
         "best_dev_loss": report.best_dev_loss,
         "metadata": _metadata("train", config),
-    })
+    }, sort_keys=True)
     print(f"train: {config.plant.name} test mse {init_mse:.5f} -> {best_mse:.5f} "
           f"({init_mse / best_mse:.1f}x, best epoch {report.best_epoch})")
     return 0
 
 
-def cmd_certify(args) -> int:
-    config = _load_config(args)
-    out = _outdir(args)
+def cmd_certify(args, config) -> int:
     report = certificate_report(config)
     report["metadata"] = _metadata("certify", config)
-    _write_json(os.path.join(out, "certificate.json"), report)
+    artifacts.write_json(os.path.join(args.out, "certificate.json"), report,
+                         sort_keys=True)
     line = f"certify: {report['status']}"
     if report["status"] == STATUS_FAILED and "worst_cell" in report:
         worst = report["worst_cell"]
@@ -828,10 +808,8 @@ def _on_off(token):
     return token == "on"
 
 
-def cmd_sweep(args) -> int:
-    base = _load_config(args)
+def cmd_sweep(args, base) -> int:
     threads = resolve_threads(args.threads)
-    out = _outdir(args)
     study = sweep_rows()
     configs = enumerate_sweep(
         base, kinds=_sweep_filter("--kinds", args.kinds, str,
@@ -847,7 +825,7 @@ def cmd_sweep(args) -> int:
         print(f"sweep: {len(configs)} configurations")
         return 0
 
-    report_dir = os.path.join(out, "configs")
+    report_dir = os.path.join(args.out, "configs")
     os.makedirs(report_dir, exist_ok=True)
 
     def work(item):
@@ -874,9 +852,10 @@ def cmd_sweep(args) -> int:
             continue
         counts[report["status"]] += 1
         report["metadata"] = _metadata("sweep", config)
-        _write_json(os.path.join(report_dir, f"{name}.json"), report)
+        artifacts.write_json(os.path.join(report_dir, f"{name}.json"), report,
+                             sort_keys=True)
 
-    artifacts.write_csv(os.path.join(out, "sweep.csv"), _SWEEP_CSV_COLUMNS,
+    artifacts.write_csv(os.path.join(args.out, "sweep.csv"), _SWEEP_CSV_COLUMNS,
                         ([row[c] for row in rows] for c in _SWEEP_CSV_COLUMNS))
     print(f"sweep: {len(configs)} configurations, "
           f"{counts[STATUS_GLOBAL]} global, {counts[STATUS_REGIONAL]} regional, "
@@ -884,19 +863,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_gen_weights(args) -> int:
-    config = _load_config(args)
-    out = _outdir(args)
+def cmd_gen_weights(args, config) -> int:
     weight = structured.draw_map(config.map.kind, config.network.width,
                                  config.map.lambda_min, config.map.lambda_max,
                                  seed=config.seed)
     matrix = weight.realize()
     report = structured.guarantee_report(weight, matrix)
-    _write_json(os.path.join(out, "weights.json"), {
+    artifacts.write_json(os.path.join(args.out, "weights.json"), {
         "matrix": matrix,
         "report": report,
         "metadata": _metadata("gen-weights", config),
-    })
+    }, sort_keys=True)
     print(f"gen-weights: {config.map.kind} {matrix.shape[0]}x{matrix.shape[1]} "
           f"guarantees {'ok' if report['passed'] else 'VIOLATED'}")
     return 0 if report["passed"] else 1
@@ -986,7 +963,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        config = _load_config(args)
+        os.makedirs(args.out, exist_ok=True)
+        return args.func(args, config)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -196,6 +196,10 @@ def _euler_step(f, x1, x2, u, h):
     return x1 + h * a, x2 + h * b
 
 
+# The integrators ``integrate`` offers, by ``method`` name.
+STEPPERS = {"rk4": _rk4_step, "euler": _euler_step}
+
+
 def _clip(v, lo, hi):
     """np.clip of one float: NaN passes, a zero at a bound takes its sign."""
     v = lo if v <= lo else v
@@ -298,10 +302,9 @@ def integrate(
         raise ValueError("dt must be positive")
     if substeps < 1:
         raise ValueError("substeps must be at least 1")
-    steppers = {"rk4": _rk4_step, "euler": _euler_step}
-    if method not in steppers:
-        raise ValueError(f"unknown method {method!r}; use rk4 or euler")
-    step = steppers[method]
+    if method not in STEPPERS:
+        raise ValueError(f"unknown method {method!r}; use {' or '.join(STEPPERS)}")
+    step = STEPPERS[method]
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != plant.state_dim:
         raise ValueError(f"x0 must have dimension {plant.state_dim}")

@@ -48,14 +48,15 @@ def _logistic(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
-def _check_bounds(lambda_min: float, lambda_max: float, nonnegative: bool) -> None:
+def check_bounds(kind: str, lambda_min: float, lambda_max: float) -> None:
+    """Every kind's bound rule: finite, ordered, nonnegative for perron_frobenius."""
     if not (np.isfinite(lambda_min) and np.isfinite(lambda_max)):
         raise ValueError("eigenvalue bounds must be finite")
     if lambda_min > lambda_max:
         raise ValueError(
             f"invalid bounds: lambda_min {lambda_min} > lambda_max {lambda_max}"
         )
-    if nonnegative and lambda_min < 0.0:
+    if kind == "perron_frobenius" and lambda_min < 0.0:
         raise ValueError(
             f"invalid bounds: lambda_min {lambda_min} must be nonnegative"
         )
@@ -122,9 +123,8 @@ class StructuredWeight:
     def vjp(self, grad) -> list:
         raise NotImplementedError
 
-    def _set_bounds(self, lambda_min: float, lambda_max: float,
-                    nonnegative: bool = False) -> None:
-        _check_bounds(lambda_min, lambda_max, nonnegative)
+    def _set_bounds(self, lambda_min: float, lambda_max: float) -> None:
+        check_bounds(self.kind, lambda_min, lambda_max)
         self.lambda_min = float(lambda_min)
         self.lambda_max = float(lambda_max)
 
@@ -165,7 +165,7 @@ class PfWeight(StructuredWeight):
     kind = "perron_frobenius"
 
     def __init__(self, a_raw, m_raw, lambda_min: float, lambda_max: float):
-        self._set_bounds(lambda_min, lambda_max, nonnegative=True)
+        self._set_bounds(lambda_min, lambda_max)
         self.a_raw = linalg.as_matrix(a_raw, "a_raw").copy()
         self.m_raw = linalg.as_matrix(m_raw, "m_raw").copy()
         if self.a_raw.shape != self.m_raw.shape:
@@ -214,11 +214,11 @@ class GershgorinWeight(StructuredWeight):
 
     def __init__(self, m_raw, lambda_min: float, lambda_max: float,
                  complex_conjugate: bool = False):
+        self.complex_conjugate = bool(complex_conjugate)  # kind reads it
         self._set_bounds(lambda_min, lambda_max)
         self.m_raw = linalg.as_matrix(m_raw, "m_raw").copy()
         if self.m_raw.shape[1] != self.m_raw.shape[0]:
             raise ValueError("m_raw must be square")
-        self.complex_conjugate = bool(complex_conjugate)
 
     @property
     def kind(self):

@@ -279,7 +279,8 @@ def make_mlp(dims, activation: str = "gelu", bias: bool = True,
              seed: int = 0) -> MlpNetwork:
     """Gaussian-initialized MLP: hidden layers activated, linear readout.
 
-    Weights are standard normal over sqrt(fan-in); biases start at zero.
+    Weights are ``FreeWeight`` draws (standard normal over sqrt(fan-in))
+    from one stream; biases start at zero.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2:
@@ -287,9 +288,8 @@ def make_mlp(dims, activation: str = "gelu", bias: bool = True,
     rng = np.random.default_rng(seed)
     layers = []
     for i in range(len(dims) - 1):
-        w = rng.standard_normal((dims[i + 1], dims[i])) / np.sqrt(dims[i])
         layers.append(Layer(
-            weight=w,
+            weight=FreeWeight.draw(dims[i + 1], dims[i], 0.0, 1.0, rng).realize(),
             bias=np.zeros(dims[i + 1]) if bias else None,
             activation=activation if i < len(dims) - 2 else None,
         ))

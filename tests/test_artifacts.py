@@ -2,15 +2,18 @@
 
 Each ``reference_*`` function is the writer body as it stood before every
 artifact went through ``neurodissip.artifacts``; the writers must produce
-the same bytes on the same inputs.  The one pinned difference: an error
+the same bytes on the same inputs.  Two differences are pinned: an error
 cell's ``eig_moduli`` field in grid.csv is written ``[]``, minimally
-quoted like every other CSV field, where it used to be ``"[]"``.
+quoted like every other CSV field, where it used to be ``"[]"``; and a
+non-finite float in a JSON document is ``null`` (``null_non_finite``),
+where ``json.dumps`` writes ``NaN`` or ``Infinity``.
 """
 
 import csv
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -210,11 +213,16 @@ def reference_save_network(net, path) -> None:
         fh.write("\n")
 
 
-def reference_write_report(report, path) -> None:
-    """The report.json part of ``save_checkpoint``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+def null_non_finite(value):
+    """``value`` with each non-finite float as None, lists for tuples: what
+    ``json.dumps`` needs to write the bytes ``write_json`` writes."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: null_non_finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [null_non_finite(v) for v in value]
+    return value
 
 
 def reference_train_config_dict(config) -> dict:
@@ -245,34 +253,6 @@ def reference_experiment_config_dict(config) -> dict:
         out[name] = {f.name: plain(getattr(spec, f.name))
                      for f in dataclasses.fields(section_cls)}
     return out
-
-
-def reference_plain(value):
-    if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return [[float(v.real), float(v.imag)] for v in value.ravel()]
-        return value.tolist()
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return v if np.isfinite(v) else repr(v)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, dict):
-        return {str(k): reference_plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [reference_plain(v) for v in value]
-    return value
-
-
-def reference_write_json(path, payload: dict) -> None:
-    """``cli._write_json``."""
-    with open(path, "w") as fh:
-        json.dump(reference_plain(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def reference_sweep_row(name, config, report) -> dict:
@@ -423,22 +403,35 @@ class TestJsonWriters:
             config=TrainConfig(epochs=2, regularizers={"l2": 1e-4}),
         )
         save_checkpoint(model, tmp_path / "ckpt", report)
-        reference_write_report(report, tmp_path / "old_report.json")
-        assert ((tmp_path / "ckpt" / "report.json").read_bytes()
-                == (tmp_path / "old_report.json").read_bytes())
+        expected = json.dumps(null_non_finite(report.to_dict()), indent=2) + "\n"
+        assert (tmp_path / "ckpt" / "report.json").read_text() == expected
 
-    def test_command_document(self, tmp_path):
-        payload = {
-            "b": np.array([[1.5, np.nan], [np.inf, -0.0]]),
-            "a": {"z": np.float64(-np.inf), 3: np.int64(7), "ok": np.bool_(True)},
-            "eig": np.array([1 + 2j, -0.5j]),
-            "pair": (complex(1, -1), 2.0, None, "text"),
-            "nan": float("nan"),
-        }
-        new, old = tmp_path / "new.json", tmp_path / "old.json"
-        cli._write_json(new, payload)
-        reference_write_json(old, payload)
-        assert new.read_bytes() == old.read_bytes()
+    def test_every_document_is_strict_json(self, tmp_path):
+        def refuse(constant):
+            raise ValueError(f"{constant} in a JSON document")
+
+        assert cli.main(["certify", "--preset", "consensus-line",
+                         "--out", str(tmp_path / "certify")]) == 0
+        assert cli.main(["spectra", "--preset", "depth-growth",
+                         "--set", "analysis.resolution=10",
+                         "--set", "analysis.depths=[1, 3000]",
+                         "--out", str(tmp_path / "spectra")]) == 0
+        model = BlockSSM(f_net=make_mlp((2, 3, 2), seed=1),
+                         g_net=make_mlp((1, 3, 2), seed=2))
+        report = TrainReport(
+            train_losses=[float("nan"), 0.5], dev_losses=[float("inf"), 0.25],
+            regularizer_values=[0.0, 0.0], best_epoch=1, best_model=model,
+            final_model=model, config=TrainConfig(epochs=2))
+        save_checkpoint(model, tmp_path / "ckpt", report)
+        docs = {path.relative_to(tmp_path).as_posix():
+                json.loads(path.read_text(), parse_constant=refuse)
+                for path in tmp_path.rglob("*.json")}
+        assert len(docs) == 5
+        uppers = [e["upper"] for e in docs["certify/certificate.json"]["equilibria"]]
+        assert uppers == [None, 0.0, None, None]
+        assert docs["spectra/spectra_summary.json"]["median_modulus"]["3000"] is None
+        losses = docs["ckpt/report.json"]
+        assert losses["train_losses"][0] is None and losses["dev_losses"][0] is None
 
 
 class TestConfigDicts:
@@ -499,12 +492,14 @@ class TestFormats:
         assert list(column) == ["1e-300", "nan", "-inf", "2.0"]
 
     def test_nan_to_none_matches_reference(self, tmp_path):
-        # write_json writes a float array as its nested lists, NaN as null.
+        # write_json writes a float array as its nested lists, NaN and inf
+        # as null.
         arr = np.array([[0.5, np.nan], [np.inf, -1.0]])
         artifacts.write_json(tmp_path / "doc.json", {"a": arr})
         text = (tmp_path / "doc.json").read_text()
-        assert text == json.dumps({"a": reference_nan_to_none(arr)}, indent=2) + "\n"
-        assert artifacts.read_json(tmp_path / "doc.json")["a"][0][1] is None
+        assert text == json.dumps({"a": null_non_finite(arr.tolist())}, indent=2) + "\n"
+        assert artifacts.read_json(tmp_path / "doc.json")["a"] == [[0.5, None],
+                                                                   [None, -1.0]]
 
     def test_repeated_numbers_keep_each_bit_pattern(self):
         values = np.array([0.0, -0.0, np.nan, 0.1, -np.inf, 0.0, np.nan, -0.0,
@@ -516,7 +511,7 @@ class TestFormats:
     def test_json_pairs_match_json_dumps(self):
         rows = np.array([[0.1, 2.0], [np.nan, 1.0], [np.inf, -0.0],
                          [5e-324, 1e16], [-np.inf, np.nan]])
-        expected = [json.dumps(row) for row in rows.tolist()]
+        expected = [json.dumps(null_non_finite(row)) for row in rows.tolist()]
         assert list(artifacts.json_pairs(rows)) == expected
         assert list(artifacts.json_pairs(rows[[0, 3]])) == expected[0:4:3]
 
@@ -569,13 +564,16 @@ class TestWriteJson:
     def test_matches_json_dumps(self, tmp_path, doc, sort_keys):
         path = tmp_path / "doc.json"
         artifacts.write_json(path, doc, sort_keys=sort_keys)
-        expected = json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n"
+        expected = json.dumps(null_non_finite(doc), indent=2,
+                              sort_keys=sort_keys) + "\n"
         assert path.read_text(encoding="utf-8") == expected
 
     def test_non_string_keys_match_json_dumps(self, tmp_path):
         doc = {1: "a", 2.5: [1], True: None, None: {}, float("inf"): 0, "k": 1}
         artifacts.write_json(tmp_path / "doc.json", doc)
-        assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2) + "\n"
+        # A non-finite key is written as its value would be: "null".
+        expected = json.dumps(doc, indent=2).replace('"Infinity"', '"null"')
+        assert (tmp_path / "doc.json").read_text() == expected + "\n"
 
     @pytest.mark.parametrize("arr", [
         np.array([[0.5, np.nan], [np.inf, -np.inf]]),
@@ -591,9 +589,10 @@ class TestWriteJson:
             "no-rows", "grid", "0-d", "float32"])
     def test_float_arrays_match_nan_to_none(self, tmp_path, arr):
         doc = {"a": [arr, {"b": arr}], "c": 1}
-        old = {"a": [reference_nan_to_none(np.asarray(arr, dtype=float)),
-                     {"b": reference_nan_to_none(np.asarray(arr, dtype=float))}],
-               "c": 1}
+        old = null_non_finite(
+            {"a": [reference_nan_to_none(np.asarray(arr, dtype=float)),
+                   {"b": reference_nan_to_none(np.asarray(arr, dtype=float))}],
+             "c": 1})
         artifacts.write_json(tmp_path / "doc.json", doc)
         assert (tmp_path / "doc.json").read_text() == json.dumps(old, indent=2) + "\n"
 

@@ -109,6 +109,19 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="length 2"):
             ExperimentConfig.from_dict({"analysis": {"x_range": [0, 1, 2]}})
 
+    @pytest.mark.parametrize("argv", [
+        ["grid", "--set", "plant.method=bogus"],
+        ["simulate", "--set", "map.kind=perron_frobenius",
+         "--set", "map.lambda_min=-0.5"],
+        ["simulate", "--set", "map.lambda_max=1e999"],
+    ], ids=["plant-method", "negative-pf-bound", "infinite-bound"])
+    def test_library_rules_fail_before_any_file(self, tmp_path, capsys, argv):
+        # Each section runs the rule of the library call it configures,
+        # also where the command never makes that call.
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_plant_rejected(self):
         with pytest.raises(ConfigError, match="unknown plant"):
             ExperimentConfig.from_dict({"plant": {"name": "pendulum"}})
@@ -523,7 +536,7 @@ class TestSpectraCommand:
         assert rc == 0
         assert capsys.readouterr().err == ""
         medians = read_json(tmp_path / "spectra_summary.json")["median_modulus"]
-        assert medians["3000"] == "nan" and medians["1"] > 1.0
+        assert medians["3000"] is None and medians["1"] > 1.0
 
 
 class TestRolloutCommand:

@@ -8,7 +8,9 @@ subprocess per root that imports ``neurodissip.cli`` from that root's
 into its own directory, together with its exit code, stdout and stderr.
 The two trees are then compared file by file, with the ``created``
 timestamp of the JSON metadata masked.  Prints ``identical N of M`` and
-every differing path, and exits 1 on any difference.
+every differing path, then every ``.json`` file of CHANGE_ROOT that is
+not strict JSON (RFC 8259 has no ``NaN`` or ``Infinity``), and exits 1 on
+any difference or any such file.
 """
 
 from __future__ import annotations
@@ -168,6 +170,22 @@ def compare(a: Path, b: Path) -> tuple:
     return len(files_a | files_b) - len(differing), differing
 
 
+def _reject(constant):
+    raise ValueError(f"{constant} is not a JSON value")
+
+
+def non_strict_json(root: Path) -> list:
+    """Relative paths of the .json files under root that a strict parser
+    refuses."""
+    refused = []
+    for path in sorted(root.rglob("*.json")):
+        try:
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject)
+        except ValueError:
+            refused.append(str(path.relative_to(root)))
+    return refused
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -181,10 +199,13 @@ def main(argv=None) -> int:
             run_root(Path(root).resolve(), out)
             outs.append(out)
         same, differing = compare(*outs)
+        refused = non_strict_json(outs[1])
     print(f"identical {same} of {same + len(differing)}")
     for rel in differing:
         print(rel)
-    return 1 if differing else 0
+    for rel in refused:
+        print(f"not strict JSON: {rel}")
+    return 1 if differing or refused else 0
 
 
 if __name__ == "__main__":
