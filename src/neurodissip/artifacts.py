@@ -10,11 +10,13 @@ that every non-finite float (scalar, array entry, ``Numbers`` field or
 ``json_pairs`` entry) is ``null``, as RFC 8259 has no ``NaN`` or
 ``Infinity``; they may also hold float, int and bool ndarrays, written as
 nested lists.  A CSV number keeps its ``repr`` (``nan``, ``inf``).
+Both writers make the directory of the file they write.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from itertools import chain
 
 import numpy as np
@@ -75,6 +77,12 @@ def json_pairs(rows):
             for pair, ok, row in zip(pairs, finite.tolist(), rows.tolist()))
 
 
+def _create(path, newline=None):
+    """Open path for writing as UTF-8, making its directory first."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", newline=newline, encoding="utf-8")
+
+
 def write_csv(path, header, columns, lineterminator: str = "\r\n") -> None:
     """Header row, then row k from field k of each column, minimally quoted.
 
@@ -92,7 +100,7 @@ def write_csv(path, header, columns, lineterminator: str = "\r\n") -> None:
         header = [header[0] or '""']
     if len(columns) == 1:
         columns = [[field or '""' for field in columns[0]]]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _create(path, newline="") as fh:
         fh.writelines(",".join(row) + lineterminator
                       for row in chain([header], zip(*columns)))
 
@@ -113,7 +121,7 @@ def _csv_fields(values, special) -> list:
 
 
 def write_json(path, doc, sort_keys: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _create(path) as fh:
         fh.write(_json(doc, sort_keys, "\n"))
         fh.write("\n")
 

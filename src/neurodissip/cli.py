@@ -3,9 +3,10 @@
 Every subcommand reads one ExperimentConfig (from a named preset, a JSON
 file, or built-in defaults), optionally patched by ``--set`` dotted-path
 overrides, and writes fixed-name artifacts under ``--out``; ``main`` loads
-the config and creates ``--out`` before any subcommand runs.  Sections are
-checked at load; ``analysis`` is a GridSpec and ``training`` a TrainConfig,
-each passed to the library as it is.  Outputs are deterministic for a
+the config before any subcommand runs, and ``--out`` is made when a
+command writes its first file, so a failed or count-only run leaves
+none.  Sections are checked at load; ``analysis`` is a GridSpec and
+``training`` a TrainConfig, each passed to the library as it is.  Outputs are deterministic for a
 given config and seed; the only run-dependent value is a timestamp kept
 inside each JSON file's metadata block.
 
@@ -441,7 +442,7 @@ def certificate_report(config: ExperimentConfig, equilibria: bool = True) -> dic
     report: dict = {"layerwise": asdict(cert)}
 
     # Norms and flags only: the certificate writes no eigenvalues.
-    if net.input_dim == 2 and net.output_dim == 2:
+    if net.input_dim == 2:
         region = dissipativity.certify_region(net, analysis, analysis.mode)
         summary = report["grid"] = region.summary()
         worst = region.worst_cell()
@@ -479,7 +480,7 @@ def certificate_report(config: ExperimentConfig, equilibria: bool = True) -> dic
         status = STATUS_FAILED
     report["status"] = status
 
-    if equilibria and net.input_dim == 2 and net.output_dim == 2:
+    if equilibria and net.input_dim == 2:
         report["equilibria"] = _equilibrium_entries(net, analysis)
     return report
 
@@ -826,7 +827,6 @@ def cmd_sweep(args, base) -> int:
         return 0
 
     report_dir = os.path.join(args.out, "configs")
-    os.makedirs(report_dir, exist_ok=True)
 
     def work(item):
         name, config = item
@@ -964,7 +964,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
-        os.makedirs(args.out, exist_ok=True)
         return args.func(args, config)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

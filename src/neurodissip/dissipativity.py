@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from . import artifacts, linalg
-from .activations import STABLE, ray_gains
+from .activations import STABLE
 from .network import MlpNetwork
 from .pwa import PwaForm, extract_pwa_batch
 
@@ -46,6 +46,7 @@ __all__ = [
     "GridAnalysis",
     "EquilibriumBounds",
     "LayerwiseCertificate",
+    "require_square",
     "verdicts_at",
     "certify_region",
     "layerwise_certificate",
@@ -110,8 +111,9 @@ class GridSpec:
         if self.resolution < 1:
             raise ValueError(f"resolution must be positive, got {self.resolution}")
         for name, (lo, hi) in (("x_range", self.x_range), ("y_range", self.y_range)):
-            if not hi > lo:
-                raise ValueError(f"{name} must satisfy lo < hi, got ({lo}, {hi})")
+            if not 0 < hi - lo < np.inf:
+                raise ValueError(f"{name} must satisfy lo < hi with a finite "
+                                 f"width, got ({lo}, {hi})")
 
     def axis_centers(self, axis: int) -> np.ndarray:
         lo, hi = self.x_range if axis == 0 else self.y_range
@@ -138,15 +140,15 @@ class LayerwiseCertificate:
 
     certified requires every ||W||_2 strictly below 1 and an analytic
     unit gain bound (stable activation classes only).  The relaxed flag
-    allows norms equal to 1 as long as at least one is strict.  For
-    non-stable activations lambda_bound is a sampled supremum and is
-    advisory: it never certifies.
+    allows norms equal to 1 as long as at least one is strict.  With a
+    non-stable activation no gain bound is computed: lambda_bound is None
+    and the net never certifies.
     """
 
     certified: bool
     certified_relaxed: bool
     w_norms: tuple[float, ...]
-    lambda_bound: float
+    lambda_bound: float | None
     lambda_bound_analytic: bool
 
 
@@ -195,22 +197,26 @@ class GridAnalysis(Verdicts):
         return int(i), int(j), float(masked[i, j])
 
 
-def _require_square(net: MlpNetwork) -> None:
+def require_square(net: MlpNetwork, plane: str | None = None) -> None:
+    """The shape rule of every state-map analysis: x_{t+1} = f(x_t) needs a
+    square map, and an analysis defined on the plane, named by plane
+    (say "basin maps"), needs it 2-D.  Raises ValueError otherwise."""
     if net.input_dim != net.output_dim:
         raise ValueError(
             f"state-transition analysis needs a square map, got "
             f"{net.input_dim} -> {net.output_dim}"
         )
+    if plane is not None and net.input_dim != 2:
+        raise ValueError(
+            f"{plane} are defined for 2-D state spaces, got dimension "
+            f"{net.input_dim}"
+        )
 
 
 def verdicts_at(net: MlpNetwork, anchors, mode: str = "linear") -> Verdicts:
     """Pointwise verdicts over an (n, dim) anchor set, any state dim."""
-    _require_square(net)
+    require_square(net)
     anchors = np.asarray(anchors, dtype=float)
-    if anchors.ndim != 2 or anchors.shape[1] != net.input_dim:
-        raise ValueError(
-            f"anchors must be (n, {net.input_dim}), got shape {anchors.shape}"
-        )
     with np.errstate(invalid="ignore", over="ignore"):
         a, b = extract_pwa_batch(net, anchors, mode=mode)[:2]
     a_norm = linalg._spectral_norm_batch(a)
@@ -245,12 +251,7 @@ def certify_region(
     Per-cell numerical failures (overflowed decompositions or norms) become
     error cells; the sweep always completes.
     """
-    _require_square(net)
-    if net.input_dim != 2:
-        raise ValueError(
-            f"grid sweeps are defined for 2-D state spaces, got dimension "
-            f"{net.input_dim}; use verdicts_at with sampled anchors instead"
-        )
+    require_square(net, plane="grid sweeps")
     grid = grid or GridSpec()
     verdicts = verdicts_at(net, grid.cell_centers(), mode)
     r = grid.resolution
@@ -261,24 +262,11 @@ def certify_region(
     return GridAnalysis(spec=grid, mode=mode, **shaped)
 
 
-def layerwise_certificate(
-    net: MlpNetwork, z_samples=None
-) -> LayerwiseCertificate:
+def layerwise_certificate(net: MlpNetwork) -> LayerwiseCertificate:
     """Check the sufficient per-layer conditions for global dissipativity."""
     w_norms = tuple(linalg.spectral_norm(layer.weight) for layer in net.layers)
-    acts = [layer.act for layer in net.layers if layer.act is not None]
-    analytic = all(act.stability_class == STABLE for act in acts)
-    if analytic:
-        lambda_bound = 1.0
-    else:
-        # Advisory sampled supremum over the provided pre-activation samples.
-        lambda_bound = 0.0
-        if z_samples is not None:
-            zs = np.concatenate([np.ravel(np.asarray(z)) for z in z_samples])
-            for act in acts:
-                if act.stability_class != STABLE:
-                    gains = np.abs(ray_gains(act, zs))
-                    lambda_bound = max(lambda_bound, float(np.max(gains)))
+    analytic = all(layer.act.stability_class == STABLE
+                   for layer in net.layers if layer.act is not None)
     strict = all(linalg.sigma_upper(w, layer.weight.shape) < 1.0
                  for w, layer in zip(w_norms, net.layers))
     weak = all(w <= 1.0 for w in w_norms) and any(w < 1.0 for w in w_norms)
@@ -286,7 +274,7 @@ def layerwise_certificate(
         certified=analytic and strict,
         certified_relaxed=analytic and weak,
         w_norms=w_norms,
-        lambda_bound=lambda_bound,
+        lambda_bound=1.0 if analytic else None,
         lambda_bound_analytic=analytic,
     )
 
@@ -321,10 +309,8 @@ def dissipativity_penalty(net: MlpNetwork, anchors):
     dependence on the weights is not differentiated; for piecewise-linear
     activations it is not differentiable in the first place).
     """
-    _require_square(net)
+    require_square(net)
     anchors = np.asarray(anchors, dtype=float)
-    if anchors.ndim != 2:
-        raise ValueError(f"anchors must be (n, dim), got shape {anchors.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
         a, _, lambdas = extract_pwa_batch(net, anchors, mode="linear")
     norms = linalg._spectral_norm_batch(a)

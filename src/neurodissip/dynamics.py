@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import artifacts, linalg
-from .dissipativity import GridSpec
+from .dissipativity import GridSpec, require_square
 from .network import Layer, MlpNetwork
 from .pwa import extract_pwa_batch
 
@@ -182,11 +182,7 @@ def rollout(
     always the bits: a one-row product may round differently from the
     same row in a larger batch, and the states then drift apart.
     """
-    if net.output_dim != net.input_dim:
-        raise ValueError(
-            f"autonomous rollout needs a square net, got "
-            f"{net.input_dim} -> {net.output_dim}"
-        )
+    require_square(net)
     if steps < 1:
         raise ValueError("steps must be at least 1")
     x = linalg.as_vector(x0, "x0")
@@ -390,13 +386,7 @@ def basin_map(
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> BasinMap:
     """Roll out every grid cell centre and cluster the limit points."""
-    if net.output_dim != net.input_dim:
-        raise ValueError("basin maps need a square net")
-    if net.input_dim != 2:
-        raise ValueError(
-            f"basin maps are defined for 2-D state spaces, got dimension "
-            f"{net.input_dim}"
-        )
+    require_square(net, plane="basin maps")
     grid = grid or GridSpec(resolution=40)
     starts = grid.cell_centers()
     window = min(steps + 1, 2 * max_period + 1)
@@ -459,14 +449,7 @@ def depth_spectra(
     A(x) eigenvalues are pooled and binned into a fixed histogram over
     [0, max].
     """
-    rows, cols = layer.weight.shape
-    if rows != cols:
-        raise ValueError("depth spectra need a square layer template")
-    anchors = np.asarray(anchors, dtype=float)
-    if anchors.ndim != 2 or anchors.shape[1] != cols:
-        raise ValueError(
-            f"anchors must be (count, {cols}), got {anchors.shape}"
-        )
+    require_square(MlpNetwork(layers=(layer,)))
     studies = []
     for depth in depths:
         if depth < 1:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .dissipativity import dissipativity_penalty
+from .dissipativity import dissipativity_penalty, require_square
 from .network import Layer, MlpNetwork, load_network, save_network
 from .structured import FreeWeight, StructuredWeight
 
@@ -61,11 +61,7 @@ class BlockSSM:
     g_net: MlpNetwork
 
     def __post_init__(self):
-        if self.f_net.input_dim != self.f_net.output_dim:
-            raise ValueError(
-                f"state map must be square, got {self.f_net.input_dim} -> "
-                f"{self.f_net.output_dim}"
-            )
+        require_square(self.f_net)
         if self.g_net.output_dim != self.f_net.output_dim:
             raise ValueError(
                 f"output dims disagree: state map produces "
@@ -571,7 +567,6 @@ def save_checkpoint(model: BlockSSM, directory, report: TrainReport | None = Non
                     ) -> None:
     """Write f_net.json / g_net.json (and report.json when given)."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     save_network(model.f_net, directory / "f_net.json")
     save_network(model.g_net, directory / "g_net.json")
     if report is not None:

@@ -114,7 +114,13 @@ class TestConfigSchema:
         ["simulate", "--set", "map.kind=perron_frobenius",
          "--set", "map.lambda_min=-0.5"],
         ["simulate", "--set", "map.lambda_max=1e999"],
-    ], ids=["plant-method", "negative-pf-bound", "infinite-bound"])
+        ["grid", "--set", "analysis.x_range=[0,1e999]",
+         "--set", "analysis.resolution=4"],
+        ["certify", "--set", "analysis.x_range=[-1e999,0]"],
+        ["grid", "--set", "analysis.x_range=[-1e308,1e308]",
+         "--set", "analysis.resolution=4"],
+    ], ids=["plant-method", "negative-pf-bound", "infinite-bound",
+            "infinite-range", "infinite-certify-range", "overflowing-width"])
     def test_library_rules_fail_before_any_file(self, tmp_path, capsys, argv):
         # Each section runs the rule of the library call it configures,
         # also where the command never makes that call.
@@ -623,6 +629,15 @@ class TestCertifyCommand:
         assert "NOT CERTIFIED" in out
         assert "worst cell" in out
 
+    def test_unstable_activation_claims_no_gain_bound(self, tmp_path):
+        rc = main(["certify", "--preset", "regional-selu",
+                   "--out", str(tmp_path), "--set", "analysis.resolution=12"])
+        assert rc == 0
+        assert '"lambda_bound": null' in (tmp_path / "certificate.json").read_text()
+        layerwise = read_json(tmp_path / "certificate.json")["layerwise"]
+        assert layerwise["lambda_bound"] is None
+        assert not layerwise["lambda_bound_analytic"]
+
     def test_failure_without_assert_exits_zero(self, tmp_path):
         rc = main(["certify", "--preset", "divergent-softplus",
                    "--out", str(tmp_path), "--set", "analysis.resolution=12"])
@@ -651,6 +666,10 @@ class TestSweepCommand:
         rc = main(["sweep", "--count-only", "--out", str(tmp_path)])
         assert rc == 0
         assert "828 configurations" in capsys.readouterr().out
+
+    def test_count_only_makes_no_out(self, tmp_path):
+        assert main(["sweep", "--count-only", "--out", str(tmp_path / "out")]) == 0
+        assert not (tmp_path / "out").exists()
 
     def test_restricted_sweep_artifacts(self, tmp_path, capsys):
         rc = main(["sweep", "--out", str(tmp_path),
@@ -778,6 +797,11 @@ class TestCommandPlumbing:
                    "--out", str(tmp_path)])
         assert rc == 1
         assert "error: --threads must be at least 1" in capsys.readouterr().err
+
+    def test_rejected_threads_make_no_out(self, tmp_path, capsys):
+        assert main(["sweep", "--threads", "0", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_outputs_deterministic_modulo_timestamp(self, tmp_path):
         for sub in ("a", "b"):

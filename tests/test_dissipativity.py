@@ -18,9 +18,11 @@ from neurodissip.dissipativity import (
     write_grid_csv,
     write_grid_json,
 )
+from neurodissip.dynamics import basin_map, depth_spectra, rollout
 from neurodissip.network import Layer, MlpNetwork
 from neurodissip.pwa import extract_pwa
 from neurodissip.structured import draw_map
+from neurodissip.training import BlockSSM
 
 
 def linear_net(a, b=None):
@@ -213,6 +215,37 @@ class TestGrid:
             assert len(set(strata.tolist())) == 100
 
 
+# Each entry point of a state-map analysis, called on net.
+ENTRY_POINTS = {
+    "verdicts_at": lambda net: verdicts_at(net, [[1.0, 1.0]]),
+    "certify_region": lambda net: certify_region(net, GridSpec(resolution=4)),
+    "dissipativity_penalty": lambda net: dissipativity_penalty(net, [[1.0, 1.0]]),
+    "rollout": lambda net: rollout(net, [1.0, 1.0]),
+    "basin_map": lambda net: basin_map(net, GridSpec(resolution=4)),
+    "depth_spectra": lambda net: depth_spectra(net.layers[0], [1], np.ones((3, 2))),
+    "BlockSSM": lambda net: BlockSSM(
+        f_net=net, g_net=linear_net(np.ones((net.output_dim, 1)))),
+}
+SQUARE = "state-transition analysis needs a square map, got 2 -> 3"
+
+
+class TestShapeRule:
+    @pytest.mark.parametrize("entry, shape, message", [
+        *(pytest.param(name, (3, 2), SQUARE, id=f"{name}-2to3")
+          for name in ENTRY_POINTS),
+        pytest.param("certify_region", (3, 3), "grid sweeps are defined for "
+                     "2-D state spaces, got dimension 3", id="certify_region-3d"),
+        pytest.param("basin_map", (3, 3), "basin maps are defined for 2-D "
+                     "state spaces, got dimension 3", id="basin_map-3d"),
+    ])
+    def test_one_function_states_the_rule(self, entry, shape, message):
+        net = linear_net(0.5 * np.eye(*shape))
+        with pytest.raises(ValueError) as info:
+            ENTRY_POINTS[entry](net)
+        assert str(info.value) == message
+        assert info.traceback[-1].name == "require_square"
+
+
 class TestLayerwiseCertificate:
     def test_scaled_tanh_certifies(self):
         rng = np.random.default_rng(4)
@@ -242,10 +275,10 @@ class TestLayerwiseCertificate:
 
     def test_unstable_class_never_certifies(self):
         net = MlpNetwork(layers=(Layer(weight=0.5 * np.eye(2), activation="selu"),))
-        cert = layerwise_certificate(net, z_samples=[np.linspace(-3, 3, 100)])
+        cert = layerwise_certificate(net)
         assert not cert.certified
         assert not cert.lambda_bound_analytic
-        assert cert.lambda_bound > 1.0  # advisory sampled sup sees selu's scale
+        assert cert.lambda_bound is None  # no gain bound was computed
 
     def test_certificate_implies_clean_sweep(self):
         rng = np.random.default_rng(6)

@@ -44,6 +44,13 @@ def commands() -> list:
     # halt both ways (442 converged, 1158 diverged).
     cmds.append(("grid-depth-growth-3000",
                  ["grid", "--preset", "depth-growth", "--set", "network.depth=3000"]))
+    # Error paths: a square 3-D map on the two plane analyses, and an
+    # infinite range, which the config load rejects.
+    for command in ("grid", "basin"):
+        cmds.append((f"{command}-width3", [command, "--set", "network.width=3"]))
+    cmds.append(("grid-infinite-x-range",
+                 ["grid", "--set", "analysis.x_range=[0,1e999]",
+                  "--set", "analysis.resolution=4"]))
     cmds.append(("basin-mixed-halts",
                  ["basin", "--set", "network.activation=selu",
                   "--set", "map.lambda_min=0.99", "--set", "map.lambda_max=1.10",
