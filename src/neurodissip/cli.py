@@ -78,9 +78,9 @@ class MapSpec:
     lambda_max: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in structured.MAP_KINDS:
+        if self.kind not in structured.MAPS:
             raise ConfigError(f"unknown map kind {self.kind!r}")
-        structured.check_bounds(self.kind, float(self.lambda_min), float(self.lambda_max))
+        structured.MAPS[self.kind].check_bounds(float(self.lambda_min), float(self.lambda_max))
 
 
 @dataclass(frozen=True)
@@ -405,17 +405,16 @@ def _equilibrium_entries(net: MlpNetwork, analysis: AnalysisSpec) -> list:
         (0.8 * x_hi, 0.8 * y_lo),
         (0.8 * x_hi, 0.8 * y_hi),
     ]
-    points: list = []
+    limits = []
     # Five batches of one, not one batch of five: a multi-row matmul may
     # round differently, which would move the equilibria in
     # certificate.json in the last bits.
     for x0 in starts:
         traj = dynamics.rollout(net, x0, steps=analysis.horizon)
-        if traj.classification != "converged_point":
-            continue
-        if any(np.linalg.norm(traj.limit - p) <= 1e-6 for p in points):
-            continue
-        points.append(traj.limit)
+        if traj.classification == "converged_point":
+            limits.append(traj.limit)
+    # A limit within 1e-6 of an earlier kept one is the same equilibrium.
+    points = dynamics._cluster(np.reshape(limits, (-1, net.input_dim)), 1e-6)[1]
     entries = []
     for point in points:
         form = extract_pwa(net, point, mode="linear")
@@ -710,17 +709,18 @@ def cmd_train(args, config) -> int:
                                       test_inputs)
     training.save_checkpoint(report.best_model,
                              os.path.join(args.out, "checkpoint"), report)
+    improvement = init_mse / best_mse if best_mse > 0 else float("inf")
     artifacts.write_json(os.path.join(args.out, "train_summary.json"), {
         "plant": config.plant.name,
         "init_test_mse": init_mse,
         "best_test_mse": best_mse,
-        "improvement": init_mse / best_mse if best_mse > 0 else float("inf"),
+        "improvement": improvement,
         "best_epoch": report.best_epoch,
         "best_dev_loss": report.best_dev_loss,
         "metadata": _metadata("train", config),
     }, sort_keys=True)
     print(f"train: {config.plant.name} test mse {init_mse:.5f} -> {best_mse:.5f} "
-          f"({init_mse / best_mse:.1f}x, best epoch {report.best_epoch})")
+          f"({improvement:.1f}x, best epoch {report.best_epoch})")
     return 0
 
 

@@ -7,17 +7,18 @@ converged_point, limit_cycle, diverged, or undetermined; line-like and
 quasi-periodic tails both land in undetermined with a tail bounding box,
 since no finite-horizon test separates them robustly.
 
-One batched stepper applies these halting rules: basin_map runs it on a
-grid of initial conditions, and rollout is its batch of one.  The
-stepper steps each distinct state once: trajectories that reach the same
-state bits (with the same convergence run) share one row from then on,
-so a basin whose cells fall onto a few attractors soon steps only a few
-rows, and basin_map detects the cycle of a tail that such cells share
-once.  The stepper stops once its whole state repeats bit for bit and
-replays that cycle for the rest of the horizon.  basin_map clusters the
-observed limit points (including every state of a detected limit cycle)
-within a 1e-4 radius, so a two-point cycle counts as two distinct
-limits.
+One batched stepper applies these halting rules and one classifier
+labels its trajectories: basin_map runs both on a grid of initial
+conditions, and rollout is their batch of one.  The stepper steps each
+distinct state once: trajectories that reach the same state bits (with
+the same convergence run) share one row from then on, so a basin whose
+cells fall onto a few attractors soon steps only a few rows, and the
+classifier detects the cycle of a tail that such cells share once.  The
+stepper stops once its whole state repeats bit for bit and replays that
+cycle for the rest of the horizon.  basin_map clusters the observed
+limit points (including every state of a detected limit cycle) within a
+1e-4 radius, so a two-point cycle counts as two distinct limits; certify
+merges its equilibria by the same rule within 1e-6.
 """
 
 from __future__ import annotations
@@ -153,19 +154,40 @@ def _detect_cycle(states: np.ndarray, cycle_tol: float, max_period: int):
     return None
 
 
-def _classify(states: np.ndarray, halt: str, cycle_tol: float, max_period: int):
-    """Returns (classification, limit, period, tail_bounds)."""
-    if halt == _HALT_CONVERGED:
-        return CLASS_CONVERGED, states[-1].copy(), None, None
-    if halt == _HALT_DIVERGED:
-        return CLASS_DIVERGED, None, None, None
-    hit = _detect_cycle(states, cycle_tol, max_period)
-    if hit is not None:
-        period, cycle = hit
-        return CLASS_CYCLE, cycle, period, None
-    tail = states[-min(states.shape[0], max_period) :]
-    bounds = np.stack([tail.min(axis=0), tail.max(axis=0)])
-    return CLASS_UNDETERMINED, None, None, bounds
+def _classify(ring, final, halts, tail_rows, cycle_tol: float, max_period: int):
+    """Label _rollout_tails' trajectories; returns (classes, periods,
+    points, labels).  points holds the limits in trajectory order (a final
+    state, or every state of a cycle), and labels[k] indexes k's limit in
+    it (a cycle's smallest state), -1 where none applies.
+    """
+    # Trajectories that shared a stepper row when their tail began have
+    # bit-equal tails, so each such group's cycle is detected once.
+    n = halts.shape[0]
+    periods = np.zeros(n, dtype=np.int64)
+    horizon = np.flatnonzero(halts == _HALT_HORIZON)
+    order = np.argsort(tail_rows[horizon])
+    edges = np.flatnonzero(np.diff(tail_rows[horizon[order]])) + 1
+    cycles = []
+    for cells in np.split(horizon[order], edges) if horizon.size else ():
+        hit = _detect_cycle(ring[:, cells[0]], cycle_tol, max_period)
+        if hit is not None:
+            periods[cells] = hit[0]
+            cycles.append((cells, hit[1]))
+    converged = halts == _HALT_CONVERGED
+    classes = np.full(n, CLASS_UNDETERMINED, dtype="U16")
+    classes[converged] = CLASS_CONVERGED
+    classes[halts == _HALT_DIVERGED] = CLASS_DIVERGED
+    classes[periods > 0] = CLASS_CYCLE
+
+    sizes = np.where(converged, 1, periods)
+    first = np.cumsum(sizes) - sizes
+    points = np.empty((int(sizes.sum()), ring.shape[2]))
+    points[first[converged]] = final[converged]
+    labels = np.where(sizes > 0, first, -1)
+    for cells, cycle in cycles:
+        points[first[cells, None] + np.arange(cycle.shape[0])] = cycle
+        labels[cells] += int(np.lexsort(cycle.T[::-1])[0])
+    return classes, periods, points, labels
 
 
 def rollout(
@@ -177,24 +199,31 @@ def rollout(
 ) -> Trajectory:
     """Iterate the network from x0, halting early on the standard rules.
 
-    This is the batch of one of basin_map's stepper, so a rollout and a
-    basin cell from the same start share the halting rules, but not
-    always the bits: a one-row product may round differently from the
+    This is the batch of one of basin_map's stepper and classifier, so a
+    rollout and a basin cell from the same start share their rules, but
+    not always the bits: a one-row product may round differently from the
     same row in a larger batch, and the states then drift apart.
     """
     require_square(net)
     if steps < 1:
         raise ValueError("steps must be at least 1")
     x = linalg.as_vector(x0, "x0")
+    if x.shape[0] != net.input_dim:
+        raise ValueError(f"x0 has {x.shape[0]} entries but the map's state "
+                         f"dimension is {net.input_dim}")
     # One trajectory with a window of steps + 1 has shift 0, so the ring
     # holds the whole trajectory in order.
-    ring, _, halts, ends, _ = _rollout_tails(net, x[None], steps, steps + 1)
-    states, halt = ring[: ends[0] + 1, 0], halts[0]
-    cls, limit, period, bounds = _classify(states, halt, cycle_tol, max_period)
-    return Trajectory(
-        states=states, halt=halt, classification=cls,
-        limit=limit, period=period, tail_bounds=bounds,
-    )
+    ring, final, halts, ends, tail_rows = _rollout_tails(net, x[None], steps, steps + 1)
+    classes, periods, points, _ = _classify(ring, final, halts, tail_rows, cycle_tol, max_period)
+    states, cls = ring[: ends[0] + 1, 0], str(classes[0])
+    period = int(periods[0]) or None  # periods is 0 where no cycle was found
+    limit = points[0] if cls == CLASS_CONVERGED else points if period else None
+    bounds = None
+    if cls == CLASS_UNDETERMINED:
+        tail = states[-min(states.shape[0], max_period) :]
+        bounds = np.stack([tail.min(axis=0), tail.max(axis=0)])
+    return Trajectory(states=states, halt=halts[0], classification=cls,
+                      limit=limit, period=period, tail_bounds=bounds)
 
 
 def _cluster(points: np.ndarray, tol: float):
@@ -391,39 +420,10 @@ def basin_map(
     starts = grid.cell_centers()
     window = min(steps + 1, 2 * max_period + 1)
     ring, final, halts, _, tail_rows = _rollout_tails(net, starts, steps, window)
-
-    # Cells that shared a stepper row when their tail began have bit-equal
-    # tails, so each such group's cycle is detected once.
-    n = starts.shape[0]
-    periods = np.zeros(n, dtype=np.int64)
-    horizon = np.flatnonzero(halts == _HALT_HORIZON)
-    order = np.argsort(tail_rows[horizon])
-    edges = np.flatnonzero(np.diff(tail_rows[horizon[order]])) + 1
-    cycles = []
-    for cells in np.split(horizon[order], edges) if horizon.size else ():
-        hit = _detect_cycle(ring[:, cells[0]], cycle_tol, max_period)
-        if hit is not None:
-            periods[cells] = hit[0]
-            cycles.append((cells, hit[1]))
-    converged = halts == _HALT_CONVERGED
-    classes = np.full(n, CLASS_UNDETERMINED, dtype="U16")
-    classes[converged] = CLASS_CONVERGED
-    classes[halts == _HALT_DIVERGED] = CLASS_DIVERGED
-    classes[periods > 0] = CLASS_CYCLE
-
-    # The limit points in cell order: a converged cell's final state, then
-    # every state of a cell's cycle, labelled by its smallest state.
-    sizes = np.where(converged, 1, periods)
-    first = np.cumsum(sizes) - sizes
-    points = np.empty((int(sizes.sum()), 2))
-    points[first[converged]] = final[converged]
-    labels = first.copy()
-    for cells, cycle in cycles:
-        points[first[cells, None] + np.arange(cycle.shape[0])] = cycle
-        labels[cells] += int(np.lexsort(cycle.T[::-1])[0])
+    classes, periods, points, labels = _classify(ring, final, halts, tail_rows,
+                                                 cycle_tol, max_period)
     ids, reps = _cluster(points, cluster_tol)
-    limit_ids = np.full(n, -1, dtype=np.int64)
-    limit_ids[sizes > 0] = ids[labels[sizes > 0]]
+    limit_ids = np.append(ids, -1)[labels]  # a label of -1 reads the -1
 
     res = grid.resolution
     return BasinMap(

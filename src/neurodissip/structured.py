@@ -8,10 +8,10 @@ Four families of square (or, for the SVD route, rectangular) linear maps:
 * ``spectral_svd`` (SpectralWeight): W = U diag(sigma) V with U, V
   products of Householder reflectors, so the singular values are set
   directly.
-* ``gershgorin_real`` / ``gershgorin_complex`` (GershgorinWeight):
-  off-diagonal mass scaled so every Gershgorin disc has the prescribed
-  centre and radius; the complex variant antisymmetrizes the off-diagonal
-  mass to favour conjugate pairs.
+* ``gershgorin_real`` (GershgorinWeight) / ``gershgorin_complex``
+  (ComplexGershgorinWeight): off-diagonal mass scaled so every Gershgorin
+  disc has the prescribed centre and radius; the complex subclass
+  antisymmetrizes the off-diagonal mass to favour conjugate pairs.
 * ``unstructured`` (FreeWeight): plain Gaussian entries scaled by
   1/sqrt(cols), no guarantee.
 
@@ -19,24 +19,19 @@ Every draw is deterministic given (dims, bounds, seed), and the drawn
 object keeps its raw parameters, so the weight can be re-realized (for
 example inside a training step) without touching an RNG, and a
 weight-space gradient pulled back onto them.
+
+Each class owns its kind's bound rule (check_bounds, which config loading
+applies before any draw) and guarantee (checks, which guarantee_report
+runs); MAPS maps each kind to its class.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Optional
 
 import numpy as np
 
 from . import linalg
-
-MAP_KINDS = (
-    "unstructured",
-    "perron_frobenius",
-    "spectral_svd",
-    "gershgorin_real",
-    "gershgorin_complex",
-)
 
 _PF_TOL = 1e-10
 _SVD_TOL = 1e-8
@@ -46,20 +41,6 @@ _GERSH_TOL = 1e-10
 def _logistic(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
-
-
-def check_bounds(kind: str, lambda_min: float, lambda_max: float) -> None:
-    """Every kind's bound rule: finite, ordered, nonnegative for perron_frobenius."""
-    if not (np.isfinite(lambda_min) and np.isfinite(lambda_max)):
-        raise ValueError("eigenvalue bounds must be finite")
-    if lambda_min > lambda_max:
-        raise ValueError(
-            f"invalid bounds: lambda_min {lambda_min} > lambda_max {lambda_max}"
-        )
-    if kind == "perron_frobenius" and lambda_min < 0.0:
-        raise ValueError(
-            f"invalid bounds: lambda_min {lambda_min} must be nonnegative"
-        )
 
 
 def damping_interval(raw, lambda_min: float, lambda_max: float) -> np.ndarray:
@@ -108,6 +89,21 @@ class StructuredWeight:
     """
 
     kind = ""
+    nonnegative = False  # whether lambda_min must be at least 0
+
+    @classmethod
+    def check_bounds(cls, lambda_min: float, lambda_max: float) -> None:
+        """The kind's bound rule: finite, ordered, nonnegative if cls.nonnegative."""
+        if not (np.isfinite(lambda_min) and np.isfinite(lambda_max)):
+            raise ValueError("eigenvalue bounds must be finite")
+        if lambda_min > lambda_max:
+            raise ValueError(
+                f"invalid bounds: lambda_min {lambda_min} > lambda_max {lambda_max}"
+            )
+        if cls.nonnegative and lambda_min < 0.0:
+            raise ValueError(
+                f"invalid bounds: lambda_min {lambda_min} must be nonnegative"
+            )
 
     @classmethod
     def draw(cls, rows: int, cols: int, lambda_min: float, lambda_max: float,
@@ -123,8 +119,12 @@ class StructuredWeight:
     def vjp(self, grad) -> list:
         raise NotImplementedError
 
+    def checks(self, w, sing, eigs) -> dict:
+        """{check: passed} on realized w, its singular values and eigenvalues."""
+        raise NotImplementedError
+
     def _set_bounds(self, lambda_min: float, lambda_max: float) -> None:
-        check_bounds(self.kind, lambda_min, lambda_max)
+        self.check_bounds(lambda_min, lambda_max)
         self.lambda_min = float(lambda_min)
         self.lambda_max = float(lambda_max)
 
@@ -153,6 +153,9 @@ class FreeWeight(StructuredWeight):
     def vjp(self, grad):
         return [np.asarray(grad, dtype=float)]
 
+    def checks(self, w, sing, eigs):
+        return {}  # no guarantee, so the report passes vacuously
+
 
 class PfWeight(StructuredWeight):
     """Perron-Frobenius weight: row-wise softmax of a_raw, elementwise
@@ -163,6 +166,7 @@ class PfWeight(StructuredWeight):
     """
 
     kind = "perron_frobenius"
+    nonnegative = True
 
     def __init__(self, a_raw, m_raw, lambda_min: float, lambda_max: float):
         self._set_bounds(lambda_min, lambda_max)
@@ -202,36 +206,39 @@ class PfWeight(StructuredWeight):
                                * p * (1.0 - p))
         return [ga, gm]
 
+    def checks(self, w, sing, eigs):
+        row_sums = w.sum(axis=1)
+        lo, hi = self.lambda_min - _PF_TOL, self.lambda_max + _PF_TOL
+        return {
+            "nonnegative": bool((w >= -_PF_TOL).all()),
+            "row_sums_in_bounds": bool((row_sums >= lo).all() and (row_sums <= hi).all()),
+            "spectral_radius_bounded": bool(np.abs(eigs).max() <= hi),
+        }
+
 
 class GershgorinWeight(StructuredWeight):
     """Disc-confined weight built from an off-diagonal mass matrix.
 
     The diagonal of m_raw is ignored.  Rows are scaled so the absolute
     off-diagonal sums equal the disc radius exactly (rows with no mass stay
-    zero), then the disc centre goes on the diagonal.  The complex variant
-    antisymmetrizes the off-diagonal mass to favour conjugate pairs.
+    zero), then the disc centre goes on the diagonal.
     """
 
-    def __init__(self, m_raw, lambda_min: float, lambda_max: float,
-                 complex_conjugate: bool = False):
-        self.complex_conjugate = bool(complex_conjugate)  # kind reads it
+    kind = "gershgorin_real"
+    complex_conjugate = False
+
+    def __init__(self, m_raw, lambda_min: float, lambda_max: float):
         self._set_bounds(lambda_min, lambda_max)
         self.m_raw = linalg.as_matrix(m_raw, "m_raw").copy()
         if self.m_raw.shape[1] != self.m_raw.shape[0]:
             raise ValueError("m_raw must be square")
 
-    @property
-    def kind(self):
-        return "gershgorin_complex" if self.complex_conjugate else "gershgorin_real"
-
     @classmethod
-    def draw(cls, rows, cols, lambda_min, lambda_max, rng,
-             complex_conjugate: bool = False):
+    def draw(cls, rows, cols, lambda_min, lambda_max, rng):
         """Uniform(0,1) mass over the full block, diagonal included."""
-        kind = "gershgorin_complex" if complex_conjugate else "gershgorin_real"
-        _square(kind, rows, cols)
+        _square(cls.kind, rows, cols)
         m_raw = rng.uniform(0.0, 1.0, (rows, rows))
-        return cls(m_raw, lambda_min, lambda_max, complex_conjugate)
+        return cls(m_raw, lambda_min, lambda_max)
 
     def params(self):
         return [self.m_raw]
@@ -264,6 +271,18 @@ class GershgorinWeight(StructuredWeight):
             gn = (gn - gn.T) / 2.0
         np.fill_diagonal(gn, 0.0)
         return [gn]
+
+    def checks(self, w, sing, eigs):
+        centre = (self.lambda_min + self.lambda_max) / 2.0
+        radius = (self.lambda_max - self.lambda_min) / 2.0
+        return {"eigenvalues_in_disc": bool((np.abs(eigs - centre) <= radius + _GERSH_TOL).all())}
+
+
+class ComplexGershgorinWeight(GershgorinWeight):
+    """GershgorinWeight with antisymmetrized off-diagonal mass, favouring conjugate pairs."""
+
+    kind = "gershgorin_complex"
+    complex_conjugate = True
 
 
 def _householder_backward(vectors, grad_q):
@@ -359,15 +378,17 @@ class SpectralWeight(StructuredWeight):
             g_sigma_raw,
         ]
 
+    def checks(self, w, sing, eigs):
+        lo, hi = sorted((abs(self.lambda_min), abs(self.lambda_max)))
+        if self.lambda_min < 0.0 < self.lambda_max:
+            lo = 0.0
+        ok = (sing >= lo - _SVD_TOL).all() and (sing <= hi + _SVD_TOL).all()
+        return {"singular_values_in_bounds": bool(ok)}
 
-_DRAWS = {
-    "unstructured": FreeWeight.draw,
-    "perron_frobenius": PfWeight.draw,
-    "spectral_svd": SpectralWeight.draw,
-    "gershgorin_real": GershgorinWeight.draw,
-    "gershgorin_complex": functools.partial(GershgorinWeight.draw,
-                                            complex_conjugate=True),
-}
+
+MAPS = {cls.kind: cls for cls in (FreeWeight, PfWeight, SpectralWeight,
+                                  GershgorinWeight, ComplexGershgorinWeight)}
+MAP_KINDS = tuple(MAPS)
 
 
 def draw_map(
@@ -379,19 +400,19 @@ def draw_map(
     cols: Optional[int] = None,
 ) -> StructuredWeight:
     """Draw a weight of the given kind from a fresh RNG seeded with seed."""
-    if kind not in MAP_KINDS:
+    if kind not in MAPS:
         raise ValueError(f"unknown map kind {kind!r}")
     cols = rows if cols is None else cols
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be at least 1")
-    return _DRAWS[kind](rows, cols, lambda_min, lambda_max,
-                        np.random.default_rng(seed))
+    return MAPS[kind].draw(rows, cols, lambda_min, lambda_max,
+                           np.random.default_rng(seed))
 
 
 def guarantee_report(weight: StructuredWeight, w: Optional[np.ndarray] = None) -> dict:
     """Check the realized matrix against its kind's spectral guarantee.
 
-    The kind and bounds come from the weight; w defaults to its
+    The kind, bounds and checks come from the weight; w defaults to its
     realization.  Returns eigenvalues (square maps), singular values, the
     checks run, and an overall pass flag.  The unstructured kind has no
     guarantee and passes vacuously.
@@ -405,30 +426,7 @@ def guarantee_report(weight: StructuredWeight, w: Optional[np.ndarray] = None) -
     if w.shape[0] == w.shape[1]:
         eigs = linalg.eigenvalues(w)
         report["eigenvalues"] = [[float(e.real), float(e.imag)] for e in eigs]
-    checks: dict = {}
-    if weight.kind == "perron_frobenius":
-        row_sums = w.sum(axis=1)
-        checks["nonnegative"] = bool((w >= -_PF_TOL).all())
-        checks["row_sums_in_bounds"] = bool(
-            (row_sums >= weight.lambda_min - _PF_TOL).all()
-            and (row_sums <= weight.lambda_max + _PF_TOL).all()
-        )
-        checks["spectral_radius_bounded"] = bool(
-            np.abs(eigs).max() <= weight.lambda_max + _PF_TOL
-        )
-    elif weight.kind == "spectral_svd":
-        lo, hi = sorted((abs(weight.lambda_min), abs(weight.lambda_max)))
-        if weight.lambda_min < 0.0 < weight.lambda_max:
-            lo = 0.0
-        checks["singular_values_in_bounds"] = bool(
-            (sing >= lo - _SVD_TOL).all() and (sing <= hi + _SVD_TOL).all()
-        )
-    elif weight.kind in ("gershgorin_real", "gershgorin_complex"):
-        centre = (weight.lambda_min + weight.lambda_max) / 2.0
-        radius = (weight.lambda_max - weight.lambda_min) / 2.0
-        checks["eigenvalues_in_disc"] = bool(
-            (np.abs(eigs - centre) <= radius + _GERSH_TOL).all()
-        )
+    checks = weight.checks(w, sing, eigs)
     report["checks"] = checks
     report["passed"] = all(checks.values())
     return report

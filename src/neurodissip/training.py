@@ -6,7 +6,9 @@ over the horizon and backpropagated through time, and the optimizers keep
 their own state on a flat list of parameter arrays.  Each step reads both
 maps' forward walk with activation slopes (MlpNetwork.forward_trace) and
 pulls the error back through their transpose walk (MlpNetwork.backward),
-the same walk the dissipativity penalty's gradient takes.
+the same walk the dissipativity penalty's gradient takes.  That forward
+pass is the one rollout of x+ = f(x) + g(u): the open-loop error that
+model selection reads is its batch of one window, run without slopes.
 
 Weights can be free matrices or structured parametrizations (row-sum,
 SVD, or disc-confined factorizations from the structured module).  A
@@ -45,7 +47,6 @@ __all__ = [
     "ConstrainedNetwork",
     "ConstrainedSSM",
     "make_mlp",
-    "ssm_rollout",
     "open_loop_mse",
     "train",
     "save_checkpoint",
@@ -77,29 +78,9 @@ class BlockSSM:
         return self.g_net.input_dim
 
 
-def ssm_rollout(model: BlockSSM, x0, inputs) -> np.ndarray:
-    """Iterate x+ = f(x) + g(u) from x0 through a whole input sequence.
-
-    Returns len(inputs)+1 states; once a state goes non-finite the rest
-    of the record is NaN.
-    """
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim == 1:
-        inputs = inputs[:, None]
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    states = np.full((inputs.shape[0] + 1, model.state_dim), np.nan)
-    states[0] = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(inputs.shape[0]):
-            x = model.f_net.forward(x) + model.g_net.forward(inputs[t])
-            if not np.isfinite(x).all():
-                break
-            states[t + 1] = x
-    return states
-
-
 def open_loop_mse(model: BlockSSM, states, inputs) -> float:
-    """Whole-trace open-loop error; infinite if the rollout blows up."""
+    """Whole-trace open-loop error from states[0], as one window of the
+    BPTT forward pass without slopes; infinite if the rollout blows up."""
     states = np.asarray(states, dtype=float)
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
@@ -107,21 +88,22 @@ def open_loop_mse(model: BlockSSM, states, inputs) -> float:
     n = states.shape[0]
     if n < 2:
         raise ValueError("need at least two states for an open-loop error")
-    predicted = ssm_rollout(model, states[0], inputs[: n - 1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = predicted[1:] - states[1:]
-        mse = float(np.mean(err * err))
+    if inputs.shape[0] < n - 1:
+        raise ValueError(f"{n} states need {n - 1} input rows, got {inputs.shape[0]}")
+    mse = _bptt_forward(model.f_net, model.g_net, states[None],
+                        inputs[None, : n - 1], slopes=False)[0]
     return mse if np.isfinite(mse) else float(np.inf)
 
 
 # --- the reverse-mode core -------------------------------------------------
 
-def _bptt_forward(f_net: MlpNetwork, g_net: MlpNetwork, xs, us):
-    """Forward pass over a window batch.
+def _bptt_forward(f_net: MlpNetwork, g_net: MlpNetwork, xs, us, slopes: bool = True):
+    """Forward pass over a window batch: the one loop over x+ = f(x) + g(u).
 
     xs is (B, horizon+1, n_x) measured states, us (B, horizon, n_u).
-    Returns the loss, each step's forward_trace of both maps (with
-    slopes, and with z dropped), and the prediction errors.
+    Returns the loss, each step's forward_trace of both maps (with z
+    dropped), and the prediction errors.  slopes is forward_trace's flag,
+    and the traces are kept (with slopes) only when it is set.
     """
     b, steps = us.shape[0], us.shape[1]
     n_x = xs.shape[2]
@@ -130,14 +112,15 @@ def _bptt_forward(f_net: MlpNetwork, g_net: MlpNetwork, xs, us):
     err = np.empty((b, steps, n_x))
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps):
-            out_f, f_trace = f_net.forward_trace(xh, slopes=True)
-            out_g, g_trace = g_net.forward_trace(us[:, t], slopes=True)
-            # The transpose walk reads only each layer's input and slope.
-            # Dropping z keeps the horizon's pre-activations from staying
-            # alive: they raised training's peak RSS by about 4 MB on the
-            # identification presets.
-            f_traces.append([(h, None, s) for h, _, s in f_trace])
-            g_traces.append([(h, None, s) for h, _, s in g_trace])
+            out_f, f_trace = f_net.forward_trace(xh, slopes)
+            out_g, g_trace = g_net.forward_trace(us[:, t], slopes)
+            if slopes:
+                # The transpose walk reads only each layer's input and
+                # slope.  Dropping z keeps the horizon's pre-activations
+                # from staying alive: they raised training's peak RSS by
+                # about 4 MB on the identification presets.
+                f_traces.append([(h, None, s) for h, _, s in f_trace])
+                g_traces.append([(h, None, s) for h, _, s in g_trace])
             xh = out_f + out_g
             err[:, t] = xh - xs[:, t + 1]
         loss = float(np.sum(err * err) / err.size)

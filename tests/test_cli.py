@@ -555,6 +555,18 @@ class TestRolloutCommand:
         with open(tmp_path / "trajectory.csv") as fh:
             assert len(fh.readlines()) > 10
 
+    @pytest.mark.parametrize("argv, message", [
+        (["rollout", "--set", "network.width=3"],
+         "x0 has 2 entries but the map's state dimension is 3"),
+        (["certify", "--set", "analysis.x0=[1, 2, 3]",
+          "--set", "analysis.resolution=4"],
+         "x0 has 3 entries but the map's state dimension is 2"),
+    ], ids=["rollout-width3", "certify-x0-3"])
+    def test_wrong_length_x0_is_named(self, tmp_path, capsys, argv, message):
+        rc = main(argv + ["--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestBasinCommand:
     def test_class_counts(self, tmp_path, capsys):
@@ -595,6 +607,31 @@ class TestTrainCommand:
         assert summary["best_test_mse"] > 0
         assert summary["best_epoch"] <= 3
         assert (tmp_path / "checkpoint").exists()
+
+    def test_exact_fit_reports_an_infinite_improvement(
+            self, tmp_path, capsys, monkeypatch):
+        # An all-zero record: zero-bias nets map zeros to zeros, so the
+        # test error is 0 before and after training.
+        def zero_record(kind, seed=0, samples=3000, method="rk4"):
+            plant = cli.plants.make_plant(kind)
+            third = samples // 3
+            return cli.plants.PlantDataset(
+                plant=plant, dt=1.0,
+                states=np.zeros((samples, plant.state_dim)),
+                inputs=np.zeros((samples, plant.input_dim)),
+                splits=((0, third), (third, 2 * third), (2 * third, samples)),
+            )
+
+        monkeypatch.setattr(cli.plants, "benchmark_dataset", zero_record)
+        rc = main(["train", "--preset", "two-tank-identification",
+                   "--out", str(tmp_path), "--set", "plant.samples=120",
+                   "--set", "training.epochs=1", "--set", "training.horizon=4",
+                   "--set", "training.width=4", "--set", "training.hidden=1"])
+        assert rc == 0
+        summary = read_json(tmp_path / "train_summary.json")
+        assert summary["init_test_mse"] == summary["best_test_mse"] == 0.0
+        assert summary["improvement"] is None  # inf, written as null
+        assert "(infx, best epoch 0)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("override, message", [
         ("training.optimizer=rmsprop", "unknown optimizer 'rmsprop'; use adam or sgd"),

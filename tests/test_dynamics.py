@@ -244,6 +244,23 @@ def reference_rollout_tails(net, starts, steps, window):
     return tails, halts, counts
 
 
+def reference_classify(states, halt, cycle_tol, max_period):
+    """The scalar classifier of one trajectory, as it stood before basin_map
+    and rollout shared the grouped one.  Returns (classification, limit,
+    period, tail_bounds)."""
+    if halt == dynamics._HALT_CONVERGED:
+        return "converged_point", states[-1].copy(), None, None
+    if halt == dynamics._HALT_DIVERGED:
+        return "diverged", None, None, None
+    hit = dynamics._detect_cycle(states, cycle_tol, max_period)
+    if hit is not None:
+        period, cycle = hit
+        return "limit_cycle", cycle, period, None
+    tail = states[-min(states.shape[0], max_period) :]
+    bounds = np.stack([tail.min(axis=0), tail.max(axis=0)])
+    return "undetermined", None, None, bounds
+
+
 class ReferenceLimitClusters:
     def __init__(self, tol):
         self.tol = tol
@@ -279,7 +296,7 @@ def reference_basin_map(net, grid, steps):
     clusters = ReferenceLimitClusters(dynamics.DEFAULT_CLUSTER_TOL)
 
     for k in range(starts.shape[0]):
-        cls, limit, period, _ = dynamics._classify(tails[k], halts[k],
+        cls, limit, period, _ = reference_classify(tails[k], halts[k],
                                                    cycle_tol, max_period)
         classes[k] = cls
         if cls == "converged_point":
@@ -390,7 +407,7 @@ def reference_rollout(net, x0, steps=dynamics.DEFAULT_HORIZON,
                 halt = dynamics._HALT_CONVERGED
                 break
     arr = np.asarray(states)
-    cls, limit, period, bounds = dynamics._classify(arr, halt, cycle_tol, max_period)
+    cls, limit, period, bounds = reference_classify(arr, halt, cycle_tol, max_period)
     return dynamics.Trajectory(
         states=arr, halt=halt, classification=cls,
         limit=limit, period=period, tail_bounds=bounds,

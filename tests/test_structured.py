@@ -8,6 +8,8 @@ import pytest
 from neurodissip import linalg
 from neurodissip.structured import (
     MAP_KINDS,
+    MAPS,
+    ComplexGershgorinWeight,
     FreeWeight,
     GershgorinWeight,
     PfWeight,
@@ -231,11 +233,9 @@ class TestGershgorin:
 
     @pytest.mark.parametrize("complex_conjugate", [False, True])
     def test_eigenvalues_inside_disc(self, complex_conjugate):
+        cls = ComplexGershgorinWeight if complex_conjugate else GershgorinWeight
         for seed in range(100):
-            w = GershgorinWeight.draw(
-                8, 8, 0.0, 1.0, np.random.default_rng(seed),
-                complex_conjugate=complex_conjugate,
-            ).realize()
+            w = cls.draw(8, 8, 0.0, 1.0, np.random.default_rng(seed)).realize()
             eigs = np.linalg.eigvals(w)
             assert (np.abs(eigs - 0.5) <= 0.5 + 1e-10).all()
 
@@ -340,12 +340,31 @@ class TestRecord:
         classes = {
             "unstructured": FreeWeight, "perron_frobenius": PfWeight,
             "spectral_svd": SpectralWeight, "gershgorin_real": GershgorinWeight,
-            "gershgorin_complex": GershgorinWeight,
+            "gershgorin_complex": ComplexGershgorinWeight,
         }
         for kind in MAP_KINDS:
             weight = draw_map(kind, 3, 0.2, 0.9, seed=1)
             assert type(weight) is classes[kind]
             assert weight.kind == kind
+
+    def test_maps_key_each_class_by_its_kind_in_the_old_order(self):
+        assert MAP_KINDS == ("unstructured", "perron_frobenius", "spectral_svd",
+                             "gershgorin_real", "gershgorin_complex")
+        assert tuple(MAPS) == MAP_KINDS
+        for kind, cls in MAPS.items():
+            assert cls.kind == kind
+
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    def test_only_perron_frobenius_rejects_a_negative_lower_bound(self, kind):
+        if kind == "perron_frobenius":
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                MAPS[kind].check_bounds(-0.5, 0.5)
+        else:
+            MAPS[kind].check_bounds(-0.5, 0.5)
+        for lo, hi, message in ((0.5, 0.2, "lambda_min 0.5 > lambda_max 0.2"),
+                                (0.0, np.inf, "must be finite")):
+            with pytest.raises(ValueError, match=message):
+                MAPS[kind].check_bounds(lo, hi)
 
     def test_guarantee_reports_pass(self):
         for kind in ("perron_frobenius", "spectral_svd",

@@ -16,6 +16,7 @@ from neurodissip import activations, dissipativity, training
 from neurodissip.network import Layer, MlpNetwork
 from neurodissip.structured import (
     MAP_KINDS,
+    ComplexGershgorinWeight,
     FreeWeight,
     GershgorinWeight,
     PfWeight,
@@ -33,7 +34,6 @@ from neurodissip.training import (
     make_mlp,
     open_loop_mse,
     save_checkpoint,
-    ssm_rollout,
     train,
 )
 
@@ -63,8 +63,13 @@ def backward(model, states, inputs, horizon):
 
 
 def one_step(model, x, u):
-    """x+ = f(x) + g(u), as the first step of ssm_rollout."""
-    return ssm_rollout(model, x, np.asarray(u)[None])[1]
+    """x+ = f(x) + g(u), as a one-step window of the BPTT forward pass:
+    against a zero target, the prediction error is the prediction."""
+    x = np.asarray(x, dtype=float)
+    xs = np.stack([x, np.zeros_like(x)])[None]
+    return training._bptt_forward(model.f_net, model.g_net, xs,
+                                  np.asarray(u, dtype=float)[None, None],
+                                  slopes=False)[3][0, 0]
 
 
 def linear_ssm(a, b, f_bias=None, g_bias=None):
@@ -130,16 +135,6 @@ class TestSsmStep:
         g = make_mlp((1, 4, 2), seed=0)
         with pytest.raises(ValueError, match="state"):
             BlockSSM(f_net=f, g_net=g)
-
-    def test_rollout_shape_and_recursion(self):
-        model = linear_ssm([[0.5, 0.0], [0.1, 0.4]], [[1.0], [0.0]])
-        inputs = np.asarray([[0.2], [-0.1], [0.3]])
-        states = ssm_rollout(model, [1.0, 1.0], inputs)
-        assert states.shape == (4, 2)
-        for t in range(3):
-            np.testing.assert_allclose(
-                states[t + 1], one_step(model, states[t], inputs[t])
-            )
 
 
 class TestRolloutLoss:
@@ -478,6 +473,32 @@ class TestOpenLoopMse:
         inputs = np.zeros((400, 1))
         assert open_loop_mse(model, states, inputs) == np.inf
 
+    def test_is_one_bptt_window_without_slopes(self):
+        # The one rollout loop: open_loop_mse is _bptt_forward on a batch
+        # of one window, and both equal an explicit f(x) + g(u) recursion
+        # from states[0], bit for bit.
+        model = BlockSSM(f_net=make_mlp((2, 16, 16, 2), "gelu", seed=21),
+                         g_net=make_mlp((1, 16, 16, 2), "gelu", seed=22))
+        rng = np.random.default_rng(23)
+        states = rng.uniform(-1.0, 1.0, (120, 2))
+        inputs = rng.uniform(-1.0, 1.0, (125, 1))  # extra rows are unused
+        loss, f_traces, g_traces, _ = training._bptt_forward(
+            model.f_net, model.g_net, states[None], inputs[None, :119],
+            slopes=False)
+        assert f_traces == [] and g_traces == []
+        x, predicted = states[0], []
+        for u in inputs[:119]:
+            x = model.f_net.forward(x) + model.g_net.forward(u)
+            predicted.append(x)
+        err = np.asarray(predicted) - states[1:]
+        mse = open_loop_mse(model, states, inputs)
+        assert mse == loss == float(np.mean(err * err))
+
+    def test_rejects_too_few_inputs(self):
+        model = linear_ssm([[0.5]], [[1.0]])
+        with pytest.raises(ValueError, match="10 states need 9 input rows, got 8"):
+            open_loop_mse(model, np.zeros((10, 1)), np.zeros((8, 1)))
+
 
 class TestRegularizers:
     def test_l2_shrinks_weights_on_flat_objective(self):
@@ -691,12 +712,12 @@ class TestTrainableParametrizations:
             )
 
     def test_gershgorin_seed_reproduces_generator(self):
-        for kind, flag in (("gershgorin_real", False),
-                           ("gershgorin_complex", True)):
+        for kind, cls in (("gershgorin_real", GershgorinWeight),
+                          ("gershgorin_complex", ComplexGershgorinWeight)):
             m_raw = np.random.default_rng(9).uniform(0.0, 1.0, (3, 3))
             np.testing.assert_array_equal(
                 draw_map(kind, 3, -0.5, 0.5, seed=9).realize(),
-                GershgorinWeight(m_raw, -0.5, 0.5, flag).realize(),
+                cls(m_raw, -0.5, 0.5).realize(),
             )
 
     def test_pf_parameter_gradients(self):

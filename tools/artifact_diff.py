@@ -114,6 +114,26 @@ def commands() -> list:
                   "--set", "plant.samples=900", "--set", "training.epochs=3",
                   "--set", "training.optimizer=sgd",
                   "--set", "training.learning_rate=0.01"]))
+    # The penalty's gradient branch under tanh's fn/deriv pair, then a grid
+    # of the saved checkpoint (the relative path works because every
+    # command runs with the output root as its working directory).
+    cmds.append(("train-two-tank-tanh-dissipative",
+                 ["train", "--preset", "two-tank-identification",
+                  "--set", "training.epochs=2",
+                  "--set", "training.activation=tanh",
+                  "--set", 'training.regularizers={"dissipativity": 0.5}']))
+    cmds.append(("grid-checkpoint-tanh-dissipative",
+                 ["grid", "--checkpoint",
+                  "train-two-tank-tanh-dissipative/checkpoint",
+                  "--set", "analysis.x_range=[-1, 1]",
+                  "--set", "analysis.y_range=[-1, 1]"]))
+    # Affine-mode A(x), and certify --assert's exit 2.
+    for command in ("pwa", "grid"):
+        cmds.append((f"{command}-mixed-sigmoid-affine",
+                     [command, "--preset", "mixed-sigmoid",
+                      "--set", "analysis.mode=affine"]))
+    cmds.append(("certify-mixed-sigmoid-assert",
+                 ["certify", "--preset", "mixed-sigmoid", "--assert"]))
     cmds.append(("sweep", ["sweep", "--threads", "2"]))
     # Filtered sweeps: the bench's slice, and one whose bounds filter the
     # unstructured row (which has no bounds) passes.
