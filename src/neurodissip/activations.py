@@ -50,7 +50,6 @@ __all__ = [
     "Activation",
     "ACTIVATIONS",
     "get_activation",
-    "activation_names",
     "secant_gains",
     "ray_gains",
 ]
@@ -196,10 +195,6 @@ def get_activation(name: str) -> Activation:
     except KeyError:
         known = ", ".join(sorted(ACTIVATIONS))
         raise ValueError(f"unknown activation {name!r}; known: {known}") from None
-
-
-def activation_names() -> tuple[str, ...]:
-    return tuple(sorted(ACTIVATIONS))
 
 
 def secant_gains(act: Activation, z: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from . import artifacts, dissipativity, dynamics, plants, structured, training
 from .activations import get_activation
 from .dissipativity import GridSpec
 from .network import Layer, MlpNetwork
-from .pwa import extract_pwa, verify_equivalence
+from .pwa import GAINS, extract_pwa, verify_equivalence
 
 
 class ConfigError(ValueError):
@@ -102,7 +102,7 @@ class AnalysisSpec(GridSpec):
         super().__post_init__()
         if self.horizon < 1 or self.anchors < 1:
             raise ConfigError("analysis horizon and anchors must be positive")
-        if self.mode not in ("linear", "affine"):
+        if self.mode not in GAINS:
             raise ConfigError(f"analysis.mode must be 'linear' or 'affine', got {self.mode!r}")
         if not self.depths:
             raise ConfigError("analysis.depths must not be empty")
@@ -120,7 +120,7 @@ class PlantSpec:
     method: str = "rk4"
 
     def __post_init__(self):
-        if self.name not in plants.PLANT_KINDS:
+        if self.name not in plants.PLANTS:
             raise ConfigError(f"unknown plant {self.name!r}")
         if self.method not in plants.STEPPERS:
             raise ConfigError(f"unknown plant.method {self.method!r}; "
@@ -197,8 +197,6 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown config key {name!r}.{sorted(bad)[0]!r}")
             try:
                 kwargs[name] = section_cls(**section)
-            except ConfigError:
-                raise
             except (TypeError, ValueError) as exc:
                 raise ConfigError(str(exc)) from None
         return cls(**kwargs)
@@ -212,14 +210,6 @@ def _config_data(text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(_config_data(text))
-
-
-def emit_config(config: ExperimentConfig) -> str:
-    return json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def apply_override(data: dict, assignment: str) -> None:
@@ -411,7 +401,7 @@ def _equilibrium_entries(net: MlpNetwork, analysis: AnalysisSpec) -> list:
     # certificate.json in the last bits.
     for x0 in starts:
         traj = dynamics.rollout(net, x0, steps=analysis.horizon)
-        if traj.classification == "converged_point":
+        if traj.classification == dynamics.CLASS_CONVERGED:
             limits.append(traj.limit)
     # A limit within 1e-6 of an earlier kept one is the same equilibrium.
     points = dynamics._cluster(np.reshape(limits, (-1, net.input_dim)), 1e-6)[1]
@@ -437,22 +427,25 @@ def certificate_report(config: ExperimentConfig, equilibria: bool = True) -> dic
     """Layerwise check, sampled verdict sweep, and fixed-point bounds."""
     net = build_network(config)
     analysis = config.analysis
+    report: dict = {}
+    # First, so a bad analysis.x0 fails before the verdict grid is built.
+    if equilibria and net.input_dim == 2:
+        report["equilibria"] = _equilibrium_entries(net, analysis)
     cert = dissipativity.layerwise_certificate(net)
-    report: dict = {"layerwise": asdict(cert)}
+    report["layerwise"] = asdict(cert)
 
     # Norms and flags only: the certificate writes no eigenvalues.
     if net.input_dim == 2:
-        region = dissipativity.certify_region(net, analysis, analysis.mode)
-        summary = report["grid"] = region.summary()
-        worst = region.worst_cell()
+        v = dissipativity.certify_region(net, analysis, analysis.mode)
+        report["grid"] = v.summary()
+        worst = v.worst_cell()
         if worst is not None:
             i, j, a_max = worst
             report["worst_cell"] = {
-                "x": float(region.spec.axis_centers(0)[i]),
-                "y": float(region.spec.axis_centers(1)[j]),
+                "x": float(v.spec.axis_centers(0)[i]),
+                "y": float(v.spec.axis_centers(1)[j]),
                 "a_norm": a_max,
             }
-        clean = summary["fraction_dissipative"] == 1.0 and not region.error.any()
     else:
         box = [analysis.x_range] * net.input_dim
         anchors = dissipativity.lhs_anchors(net.input_dim, analysis.anchors,
@@ -469,18 +462,15 @@ def certificate_report(config: ExperimentConfig, equilibria: bool = True) -> dic
             # Ties go to the first anchor.
             k = np.flatnonzero(hostile)[np.argmax(v.a_norm[hostile])]
             report["worst_cell"] = {"anchor": anchors[k], "a_norm": float(v.a_norm[k])}
-        clean = not v.error.any() and not hostile.any()
 
+    # An error cell or anchor is never dissipative, so "every verdict
+    # dissipative" also means "no errors".
     if cert.certified:
-        status = STATUS_GLOBAL
-    elif clean:
-        status = STATUS_REGIONAL
+        report["status"] = STATUS_GLOBAL
+    elif v.dissipative.all():
+        report["status"] = STATUS_REGIONAL
     else:
-        status = STATUS_FAILED
-    report["status"] = status
-
-    if equilibria and net.input_dim == 2:
-        report["equilibria"] = _equilibrium_entries(net, analysis)
+        report["status"] = STATUS_FAILED
     return report
 
 

@@ -1,6 +1,9 @@
 """Ground-truth plants, fixed-step integration, and dataset assembly.
 
-Two benchmark plants are provided for system identification:
+Two benchmark plants are provided for system identification, one record
+each in ``PLANTS`` (parameters, derivative kernel, state and input boxes,
+and the benchmark protocol's start, sample interval, substeps and
+per-channel excitation):
 
 * ``cstr``: an exothermic continuous stirred-tank reactor with states
   (concentration, temperature) and a cooling-jacket temperature input.
@@ -8,9 +11,9 @@ Two benchmark plants are provided for system identification:
 * ``two_tank``: two gravity-drained tanks in series with a pump and a
   valve input; levels clamp at empty and stop filling past full.
 
-Integration is fixed-step RK4 (or Euler) with zero-order-hold inputs,
-stepped on Python floats: a per-step numpy call would cost more than the
-arithmetic of a two-state plant.
+Integration is fixed-step RK4 (or Euler, see ``STEPPERS``) with
+zero-order-hold inputs, stepped on Python floats: a per-step numpy call
+would cost more than the arithmetic of a two-state plant.
 Datasets follow the 3000-sample protocol with contiguous
 train/dev/test thirds and carry min-max normalization constants so models
 can train in [-1, 1] and report in physical units.
@@ -19,14 +22,15 @@ can train in [-1, 1] and report in physical units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import artifacts
 
 __all__ = [
+    "PLANTS",
     "PlantModel",
     "PlantDataset",
     "IntegrationError",
@@ -39,8 +43,6 @@ __all__ = [
     "to_unit_range",
     "write_dataset",
 ]
-
-PLANT_KINDS = ("cstr", "two_tank")
 
 CSTR_PARAMETERS = {
     "q": 100.0,      # volumetric flow rate
@@ -71,56 +73,51 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PlantModel:
-    """A plant kind with its parameter set and documentation boxes.
+    """One plant kind: its parameters, kernel, boxes and benchmark protocol.
 
-    state_bounds and input_bounds are (2, dim) [lower; upper] boxes used
-    for excitation ranges and metadata; only plants with clamp_states set
-    have their states clipped to the box during integration.
+    kernel maps the parameter dict to the derivative on Python floats.
+    state_bounds and input_bounds are (2, dim) [lower; upper] boxes; the
+    dimensions are read off them, each input channel's excitation range is
+    its column of input_bounds, and only plants with clamp_states set have
+    their states clipped to the state box during integration.  The
+    protocol benchmark_dataset runs starts at x0, samples every dt with
+    substeps integrator steps per sample, and drives input channel j with
+    the (signal, hold) pair excitation[j].
     """
 
     kind: str
     parameters: dict
-    state_dim: int
-    input_dim: int
+    kernel: Callable
     state_bounds: np.ndarray
     input_bounds: np.ndarray
+    x0: tuple
+    dt: float
+    excitation: tuple
+    substeps: int = 1
     clamp_states: bool = False
 
     def __post_init__(self):
-        if self.kind not in PLANT_KINDS:
-            raise ValueError(f"unknown plant kind {self.kind!r}")
-        for name, box, dim in (
-            ("state_bounds", self.state_bounds, self.state_dim),
-            ("input_bounds", self.input_bounds, self.input_dim),
-        ):
-            arr = np.asarray(box, dtype=float)
-            if arr.shape != (2, dim) or not np.isfinite(arr).all():
-                raise ValueError(f"{name} must be a finite (2, {dim}) box")
+        for name in ("state_bounds", "input_bounds"):
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.ndim != 2 or arr.shape[0] != 2 or not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be a finite (2, dim) box")
             object.__setattr__(self, name, arr)
+
+    @property
+    def state_dim(self) -> int:
+        return self.state_bounds.shape[1]
+
+    @property
+    def input_dim(self) -> int:
+        return self.input_bounds.shape[1]
 
 
 def make_plant(kind: str, parameters: Optional[dict] = None) -> PlantModel:
-    """Build a plant with the benchmark parameter set, optionally overridden."""
-    if kind == "cstr":
-        params = dict(CSTR_PARAMETERS)
-        if parameters:
-            params.update(parameters)
-        return PlantModel(
-            kind="cstr", parameters=params, state_dim=2, input_dim=1,
-            state_bounds=np.array([[0.0, 250.0], [1.0, 500.0]]),
-            input_bounds=np.array([[290.0], [310.0]]),
-        )
-    if kind == "two_tank":
-        params = dict(TWO_TANK_PARAMETERS)
-        if parameters:
-            params.update(parameters)
-        return PlantModel(
-            kind="two_tank", parameters=params, state_dim=2, input_dim=2,
-            state_bounds=np.array([[0.0, 0.0], [1.2, 1.2]]),
-            input_bounds=np.array([[0.0, 0.0], [1.0, 1.0]]),
-            clamp_states=True,
-        )
-    raise ValueError(f"unknown plant kind {kind!r}")
+    """PLANTS[kind] with a copy of its parameters, optionally overridden."""
+    if kind not in PLANTS:
+        raise ValueError(f"unknown plant kind {kind!r}")
+    record = PLANTS[kind]
+    return replace(record, parameters={**record.parameters, **(parameters or {})})
 
 
 def _cstr_kernel(p: dict):
@@ -171,12 +168,30 @@ def _two_tank_kernel(p: dict):
     return derivative
 
 
-_KERNELS = {"cstr": _cstr_kernel, "two_tank": _two_tank_kernel}
+# One record per plant kind: what make_plant, integrate and
+# benchmark_dataset read.  The CSTR is sampled every 0.05 min around its
+# nominal operating point under a stepped jacket temperature, with 40
+# integrator substeps per sample because the reaction rate stiffens sharply
+# when the reactor ignites onto its hot branch.  The two tanks start empty
+# and are sampled every 1.0 under a PRBS valve and a stepped pump.
+PLANTS = {plant.kind: plant for plant in (
+    PlantModel(
+        kind="cstr", parameters=CSTR_PARAMETERS, kernel=_cstr_kernel,
+        state_bounds=[[0.0, 250.0], [1.0, 500.0]], input_bounds=[[290.0], [310.0]],
+        x0=(0.878, 324.5), dt=0.05, substeps=40, excitation=(("steps", 20),),
+    ),
+    PlantModel(
+        kind="two_tank", parameters=TWO_TANK_PARAMETERS, kernel=_two_tank_kernel,
+        state_bounds=[[0.0, 0.0], [1.2, 1.2]], input_bounds=[[0.0, 0.0], [1.0, 1.0]],
+        x0=(0.0, 0.0), dt=1.0, excitation=(("prbs", 100), ("steps", 50)),
+        clamp_states=True,
+    ),
+)}
 
 
 def plant_derivative(plant: PlantModel, x, u) -> np.ndarray:
     """The plant's state derivative at one state and input."""
-    kernel = _KERNELS[plant.kind](plant.parameters)
+    kernel = plant.kernel(plant.parameters)
     x = np.asarray(x, dtype=float).reshape(-1)
     u = np.asarray(u, dtype=float).reshape(-1).tolist()
     return np.array(kernel(float(x[0]), float(x[1]), u))
@@ -315,7 +330,7 @@ def integrate(
         raise ValueError(f"inputs must have {plant.input_dim} channels")
 
     n = inputs.shape[0]
-    f = _KERNELS[plant.kind](plant.parameters)
+    f = plant.kernel(plant.parameters)
     x1, x2 = x.tolist()
     (lo1, lo2), (hi1, hi2) = plant.state_bounds.tolist()
     h = float(dt) / substeps
@@ -368,29 +383,20 @@ def benchmark_dataset(
     samples: int = 3000,
     method: str = "rk4",
 ) -> PlantDataset:
-    """The identification protocol: simulate, then split into thirds.
+    """The identification protocol: simulate the plant's record, then split
+    into thirds.
 
-    CSTR: sampled every 0.05 min around the nominal operating point with
-    a stepped jacket temperature; the integrator takes 40 internal
-    substeps per sample because the reaction rate stiffens sharply when
-    the reactor ignites onto its hot branch.  Two-tank: dt 1.0 from
-    empty tanks, PRBS valve and stepped pump.  3000 samples give the
-    1000/1000/1000 protocol.
+    Every input channel is drawn in table order from one rng seeded with
+    seed; 3000 samples give the 1000/1000/1000 protocol.
     """
-    rng = np.random.default_rng(seed)
     plant = make_plant(kind)
-    if kind == "cstr":
-        u = excitation_signal("steps", samples, (290.0, 310.0), hold=20, rng=rng)
-        return integrate(
-            plant, [0.878, 324.5], u, dt=0.05, method=method,
-            substeps=40, seed=seed,
-        )
-    if kind == "two_tank":
-        valve = excitation_signal("prbs", samples, (0.0, 1.0), hold=100, rng=rng)
-        pump = excitation_signal("steps", samples, (0.0, 1.0), hold=50, rng=rng)
-        u = np.column_stack([valve, pump])
-        return integrate(plant, [0.0, 0.0], u, dt=1.0, method=method, seed=seed)
-    raise ValueError(f"unknown plant kind {kind!r}")
+    rng = np.random.default_rng(seed)
+    u = np.column_stack([
+        excitation_signal(signal, samples, bounds, hold=hold, rng=rng)
+        for (signal, hold), bounds in zip(plant.excitation, plant.input_bounds.T)
+    ])
+    return integrate(plant, plant.x0, u, dt=plant.dt, method=method,
+                     substeps=plant.substeps, seed=seed)
 
 
 def write_dataset(dataset: PlantDataset, csv_path, sidecar_path) -> None:

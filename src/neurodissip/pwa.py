@@ -6,7 +6,9 @@ network's output at x exactly:
 
     f(x) = A(x) x + b(x)
 
-Two gain conventions are supported (see activations):
+Two gain conventions are supported (see activations), one row each of
+``GAINS``, which names the gain function and whether the activation
+offsets sigma(0) are routed into b:
 
 * ``"affine"``: secant gains (sigma(z) - sigma(0)) / z; the activation
   offsets sigma(0) are routed into b, so b is nonzero for sigmoid or
@@ -28,9 +30,10 @@ import numpy as np
 from .activations import ray_gains, secant_gains
 from .network import MlpNetwork
 
-__all__ = ["PwaForm", "extract_pwa", "verify_equivalence"]
+__all__ = ["GAINS", "PwaForm", "extract_pwa", "verify_equivalence"]
 
-_MODES = ("affine", "linear")
+# mode -> (gain function, whether sigma(0) is routed into b).
+GAINS = {"affine": (secant_gains, True), "linear": (ray_gains, False)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,11 +49,6 @@ class PwaForm:
     def evaluate(self, x) -> np.ndarray:
         """Apply the affine map to an arbitrary point."""
         return self.a_star @ np.asarray(x, dtype=float) + self.b_star
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
 def extract_pwa(net: MlpNetwork, x, mode: str = "affine") -> PwaForm:
@@ -72,7 +70,9 @@ def extract_pwa_batch(net: MlpNetwork, xs, mode: str = "affine"):
     Returns (a (n, out, in), b (n, out), lambdas), where lambdas holds the
     (n, rows) gains of each activated layer, in order.
     """
-    _check_mode(mode)
+    if mode not in GAINS:
+        raise ValueError(f"mode must be one of {tuple(GAINS)}, got {mode!r}")
+    gain_fn, routes_offset = GAINS[mode]
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2:
         raise ValueError(f"anchors must be (n, dim), got shape {xs.shape}")
@@ -93,14 +93,9 @@ def extract_pwa_batch(net: MlpNetwork, xs, mode: str = "affine"):
             b = b + layer.bias
         if layer.activation is not None:
             act = layer.act
-            if mode == "affine":
-                gains = secant_gains(act, z)
-                offset = act.value_at_zero
-            else:
-                gains = ray_gains(act, z)
-                offset = 0.0
+            gains = gain_fn(act, z)
             a = gains[:, :, None] * a
-            b = gains * b + offset
+            b = gains * b + (act.value_at_zero if routes_offset else 0.0)
             lambdas.append(gains)
     return a, b, tuple(lambdas)
 

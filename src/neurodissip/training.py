@@ -184,6 +184,10 @@ class Adam:
             p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
+# The optimizers train() offers, by TrainConfig.optimizer name.
+OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
+
+
 # --- constrained network plumbing -------------------------------------------
 
 @dataclass
@@ -298,10 +302,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if not self.learning_rate > 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(
-                f"unknown optimizer {self.optimizer!r}; use adam or sgd"
-            )
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}; "
+                             f"use {' or '.join(OPTIMIZERS)}")
         for key in self.regularizers:
             if key not in _KNOWN_REGULARIZERS:
                 known = ", ".join(_KNOWN_REGULARIZERS)
@@ -455,7 +458,7 @@ def train(model, data: TrainingData, config: TrainConfig) -> TrainReport:
     dev_states, dev_inputs = data.split_arrays("dev")
 
     rng = np.random.default_rng(config.seed)
-    opt = Adam() if config.optimizer == "adam" else Sgd()
+    opt = OPTIMIZERS[config.optimizer]()
     l1 = float(config.regularizers.get("l1", 0.0))
     l2 = float(config.regularizers.get("l2", 0.0))
     diss_weight = float(config.regularizers.get("dissipativity", 0.0))

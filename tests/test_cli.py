@@ -16,10 +16,8 @@ from neurodissip.cli import (
     apply_override,
     build_network,
     certificate_report,
-    emit_config,
     enumerate_sweep,
     main,
-    parse_config,
     sweep_rows,
 )
 from neurodissip.training import TrainConfig
@@ -53,7 +51,7 @@ class TestConfigSchema:
             "analysis": {"x_range": [-2, 2], "resolution": 17, "mode": "affine"},
             "training": {"regularizers": {"l2": 1e-4}},
         })
-        assert parse_config(emit_config(config)) == config
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key 'grid'"):
@@ -104,6 +102,18 @@ class TestConfigSchema:
     def test_bad_analysis_mode_rejected(self):
         with pytest.raises(ConfigError, match="analysis.mode"):
             ExperimentConfig.from_dict({"analysis": {"mode": "secant"}})
+
+    @pytest.mark.parametrize("data, message", [
+        ({"analysis": {"mode": "secant"}},
+         "analysis.mode must be 'linear' or 'affine', got 'secant'"),
+        ({"plant": {"name": "pendulum"}}, "unknown plant 'pendulum'"),
+        ({"training": {"optimizer": "rmsprop"}},
+         "unknown optimizer 'rmsprop'; use adam or sgd"),
+    ], ids=["mode", "plant", "optimizer"])
+    def test_catalogue_messages_are_unchanged(self, data, message):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict(data)
+        assert str(info.value) == message
 
     def test_bad_range_length_rejected(self):
         with pytest.raises(ConfigError, match="length 2"):
@@ -159,9 +169,12 @@ class TestConfigSchema:
             "regularizers", "seed"]
         assert run.to_dict()["epochs"] == 600
 
-    def test_parse_rejects_malformed_json(self):
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            parse_config("{seed: 1}")
+    def test_parse_rejects_malformed_json(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("{seed: 1}")
+        assert main(["rollout", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "error: config is not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestOverrides:
@@ -567,6 +580,15 @@ class TestRolloutCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_certify_checks_x0_before_the_grid(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the verdict grid was built before x0 was read")
+        monkeypatch.setattr(cli.dissipativity, "certify_region", no_grid)
+        config = ExperimentConfig.from_dict({"analysis": {"x0": [1, 2, 3]}})
+        with pytest.raises(ValueError) as info:
+            certificate_report(config)
+        assert str(info.value) == "x0 has 3 entries but the map's state dimension is 2"
+
 
 class TestBasinCommand:
     def test_class_counts(self, tmp_path, capsys):
@@ -791,8 +813,8 @@ class TestGenWeightsCommand:
 class TestCommandPlumbing:
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text(emit_config(preset_config("period-two", resolution=6,
-                                                  horizon=400)))
+        path.write_text(json.dumps(preset_config("period-two", resolution=6,
+                                                 horizon=400).to_dict()))
         rc = main(["rollout", "--config", str(path), "--out", str(tmp_path)])
         assert rc == 0
         payload = read_json(tmp_path / "rollout.json")

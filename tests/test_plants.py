@@ -9,6 +9,7 @@ import pytest
 
 from neurodissip.plants import (
     CSTR_PARAMETERS,
+    PLANTS,
     IntegrationError,
     PlantDataset,
     benchmark_dataset,
@@ -104,6 +105,60 @@ def reference_states(plant, x0, inputs, dt, method="rk4", substeps=1):
                     x = np.clip(x, lower, upper)
             states[k + 1] = x
     return states
+
+
+def literal_benchmark_dataset(kind, seed, samples, method):
+    """The benchmark protocol with its start, sample interval, substeps and
+    excitation spelled out inline, as benchmark_dataset once wrote them."""
+    rng = np.random.default_rng(seed)
+    plant = make_plant(kind)
+    if kind == "cstr":
+        u = excitation_signal("steps", samples, (290.0, 310.0), hold=20, rng=rng)
+        return integrate(plant, [0.878, 324.5], u, dt=0.05, method=method,
+                         substeps=40, seed=seed)
+    valve = excitation_signal("prbs", samples, (0.0, 1.0), hold=100, rng=rng)
+    pump = excitation_signal("steps", samples, (0.0, 1.0), hold=50, rng=rng)
+    u = np.column_stack([valve, pump])
+    return integrate(plant, [0.0, 0.0], u, dt=1.0, method=method, seed=seed)
+
+
+class TestPlantTable:
+    def test_each_record_is_keyed_by_its_kind(self):
+        assert list(PLANTS) == ["cstr", "two_tank"]
+        for kind, plant in PLANTS.items():
+            assert plant.kind == kind
+            assert make_plant(kind).kind == kind
+
+    def test_dimensions_are_read_off_the_boxes(self):
+        dims = {kind: (p.state_dim, p.input_dim) for kind, p in PLANTS.items()}
+        assert dims == {"cstr": (2, 1), "two_tank": (2, 2)}
+        for plant in PLANTS.values():
+            assert len(plant.x0) == plant.state_dim
+            assert len(plant.excitation) == plant.input_dim
+
+    def test_overrides_leave_the_table_alone(self):
+        before = dict(PLANTS["cstr"].parameters)
+        plant = make_plant("cstr", {"k0": 0.0})
+        assert plant.parameters == {**before, "k0": 0.0}
+        assert PLANTS["cstr"].parameters == before == CSTR_PARAMETERS
+        assert make_plant("cstr").parameters == before
+
+    def test_unknown_kind_message_is_unchanged(self):
+        for call in (make_plant, benchmark_dataset):
+            with pytest.raises(ValueError) as info:
+                call("pendulum")
+            assert str(info.value) == "unknown plant kind 'pendulum'"
+
+    @pytest.mark.parametrize("kind", ["cstr", "two_tank"])
+    @pytest.mark.parametrize("seed", [0, 506])  # 506 crosses the ignition
+    @pytest.mark.parametrize("method", ["rk4", "euler"])
+    def test_protocol_matches_the_literal_one(self, kind, seed, method):
+        ds = benchmark_dataset(kind, seed=seed, samples=900, method=method)
+        ref = literal_benchmark_dataset(kind, seed, 900, method)
+        assert ds.inputs.shape == ref.inputs.shape == (900, PLANTS[kind].input_dim)
+        assert ds.inputs.tobytes() == ref.inputs.tobytes()
+        assert ds.states.tobytes() == ref.states.tobytes()
+        assert (ds.dt, ds.splits, ds.seed) == (ref.dt, ref.splits, seed)
 
 
 class TestCstrDerivative:

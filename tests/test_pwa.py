@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from neurodissip.activations import ACTIVATIONS, ray_gains, secant_gains
 from neurodissip.network import Layer, MlpNetwork
-from neurodissip.pwa import PwaForm, extract_pwa, extract_pwa_batch, verify_equivalence
+from neurodissip.pwa import GAINS, PwaForm, extract_pwa, extract_pwa_batch, verify_equivalence
 
 
 def random_net(rng, dims, activation, bias=True, scale=1.0, readout=False):
@@ -149,6 +149,13 @@ class TestEquivalence:
         net = MlpNetwork(layers=(Layer(weight=np.eye(2), activation="relu"),))
         with pytest.raises(ValueError, match="mode"):
             extract_pwa(net, [1.0, 1.0], mode="secant")
+
+    def test_gain_table_and_mode_message(self):
+        assert GAINS == {"affine": (secant_gains, True), "linear": (ray_gains, False)}
+        net = MlpNetwork(layers=(Layer(weight=np.eye(2), activation="relu"),))
+        with pytest.raises(ValueError) as info:
+            extract_pwa_batch(net, np.ones((1, 2)), mode="secant")
+        assert str(info.value) == "mode must be one of ('affine', 'linear'), got 'secant'"
 
 
 class TestBatchedExtraction:

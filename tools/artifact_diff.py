@@ -97,6 +97,12 @@ def commands() -> list:
                           "--set", f"network.width={width}"]))
     for preset in ("cstr-identification", "two-tank-identification"):
         cmds.append((f"simulate-{preset}", ["simulate", "--preset", preset]))
+        cmds.append((f"simulate-{preset}-euler",
+                     ["simulate", "--preset", preset, "--set", "plant.method=euler"]))
+    # Plant seed 506 crosses the reactor's ignition transient.
+    cmds.append(("simulate-cstr-identification-506",
+                 ["simulate", "--preset", "cstr-identification",
+                  "--set", "plant.seed=506", "--set", "plant.samples=900"]))
     cmds.append(("train-cstr-identification",
                  ["train", "--preset", "cstr-identification",
                   "--set", "plant.samples=900", "--set", "training.epochs=3"]))
