@@ -5,10 +5,13 @@ file, or built-in defaults), optionally patched by ``--set`` dotted-path
 overrides, and writes fixed-name artifacts under ``--out``; ``main`` loads
 the config before any subcommand runs, and ``--out`` is made when a
 command writes its first file, so a failed or count-only run leaves
-none.  Sections are checked at load; ``analysis`` is a GridSpec and
-``training`` a TrainConfig, each passed to the library as it is.  Outputs are deterministic for a
-given config and seed; the only run-dependent value is a timestamp kept
-inside each JSON file's metadata block.
+none.  Sections are checked at load, each value against the JSON type
+of its field's default and every seed for a sign; ``analysis`` is a
+GridSpec and ``training`` a TrainConfig, each passed to the library as
+it is.  Every JSON command document is written by ``_write_document``,
+which adds the metadata block (command, config, time) and sorts the
+keys.  Outputs are deterministic for a given config and seed; the only
+run-dependent value is the metadata's timestamp.
 
 Exit codes: 0 on success, 1 on errors (bad config, runtime failure, PWA
 residual above tolerance), 2 when ``certify --assert`` finds no
@@ -22,7 +25,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import chain, repeat
 
@@ -97,7 +100,9 @@ class AnalysisSpec(GridSpec):
     def __post_init__(self):
         object.__setattr__(self, "x_range", _as_tuple(self.x_range, float, "analysis.x_range", 2))
         object.__setattr__(self, "y_range", _as_tuple(self.y_range, float, "analysis.y_range", 2))
-        object.__setattr__(self, "depths", _as_tuple(self.depths, int, "analysis.depths"))
+        # A depth given twice is studied once.
+        object.__setattr__(self, "depths", tuple(dict.fromkeys(
+            _as_tuple(self.depths, int, "analysis.depths"))))
         object.__setattr__(self, "x0", _as_tuple(self.x0, float, "analysis.x0"))
         super().__post_init__()
         if self.horizon < 1 or self.anchors < 1:
@@ -156,6 +161,24 @@ _SECTIONS = {
     "training": TrainSpec,
 }
 
+# The JSON values a field takes, keyed by its default's type, and their
+# name.  A boolean is no number, so an int field takes neither 1.7 nor
+# true.  Values are checked, never converted, so the metadata keeps them
+# as given.
+_JSON_TYPES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string"),
+               tuple: ((list, tuple), "an array"), dict: ((dict,), "an object")}
+
+
+def _check_value(key: str, value, f) -> None:
+    """Reject a value of field f that the type rule refuses, or a negative seed."""
+    default = f.default_factory() if f.default is MISSING else f.default
+    types, name = _JSON_TYPES[type(default)]
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, types):
+        raise ConfigError(f"{key} must be {name}, got {value!r}")
+    if f.name == "seed" and value < 0:
+        raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -182,9 +205,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
         kwargs: dict = {}
         if "seed" in data:
-            # A JSON integer only: int() would truncate 1.7 and accept true.
-            if type(data["seed"]) is not int:
-                raise ConfigError(f"seed must be an integer, got {data['seed']!r}")
+            _check_value("seed", data["seed"], fields(cls)[0])  # the seed field
             kwargs["seed"] = data["seed"]
         for name, section_cls in _SECTIONS.items():
             if name not in data:
@@ -192,9 +213,12 @@ class ExperimentConfig:
             section = data[name]
             if not isinstance(section, dict):
                 raise ConfigError(f"config section {name!r} must be an object")
-            bad = set(section) - {f.name for f in fields(section_cls)}
+            known = {f.name: f for f in fields(section_cls)}
+            bad = set(section) - set(known)
             if bad:
                 raise ConfigError(f"unknown config key {name!r}.{sorted(bad)[0]!r}")
+            for key, value in section.items():
+                _check_value(f"{name}.{key}", value, known[key])
             try:
                 kwargs[name] = section_cls(**section)
             except (TypeError, ValueError) as exc:
@@ -203,13 +227,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _config_data(text: str) -> dict:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
 
 
 def apply_override(data: dict, assignment: str) -> None:
@@ -360,20 +377,14 @@ def build_network(config: ExperimentConfig) -> MlpNetwork:
     return MlpNetwork(layers=tuple(layers))
 
 
-def resolve_threads(requested) -> int:
-    if requested is None:
-        return os.cpu_count() or 1
-    if requested < 1:
-        raise ConfigError(f"--threads must be at least 1, got {requested}")
-    return requested
-
-
-def _metadata(command: str, config: ExperimentConfig) -> dict:
-    return {
-        "command": command,
+def _write_document(args, config: ExperimentConfig, name: str, doc: dict) -> None:
+    """Stamp doc with the command, config and time; write it sorted to --out/name."""
+    doc["metadata"] = {
+        "command": args.command,
         "config": config.to_dict(),
         "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
+    artifacts.write_json(os.path.join(args.out, name), doc, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -437,31 +448,24 @@ def certificate_report(config: ExperimentConfig, equilibria: bool = True) -> dic
     # Norms and flags only: the certificate writes no eigenvalues.
     if net.input_dim == 2:
         v = dissipativity.certify_region(net, analysis, analysis.mode)
-        report["grid"] = v.summary()
-        worst = v.worst_cell()
-        if worst is not None:
-            i, j, a_max = worst
-            report["worst_cell"] = {
-                "x": float(v.spec.axis_centers(0)[i]),
-                "y": float(v.spec.axis_centers(1)[j]),
-                "a_norm": a_max,
-            }
+        report["grid"] = summary = v.summary()
     else:
         box = [analysis.x_range] * net.input_dim
         anchors = dissipativity.lhs_anchors(net.input_dim, analysis.anchors,
                                             box, seed=config.seed)
         v = dissipativity.verdicts_at(net, anchors, analysis.mode)
-        hostile = ~v.error & ~v.dissipative
-        report["sampled"] = {
-            "anchors": len(anchors),
-            "dissipative": int(np.count_nonzero(v.dissipative)),
-            "errors": int(np.count_nonzero(v.error)),
-            "max_a_norm": None if v.error.all() else float(np.max(v.a_norm[~v.error])),
-        }
-        if hostile.any():
-            # Ties go to the first anchor.
-            k = np.flatnonzero(hostile)[np.argmax(v.a_norm[hostile])]
-            report["worst_cell"] = {"anchor": anchors[k], "a_norm": float(v.a_norm[k])}
+        summary = v.summary()
+        report["sampled"] = {"anchors": summary["cells"], "dissipative": summary["dissipative"],
+                             "errors": summary["errors"], "max_a_norm": summary["max_a_norm"]}
+    worst = v.worst()
+    if "grid" in report:
+        if worst is not None:
+            x, y = v.anchors[worst[0]]
+            report["worst_cell"] = {"x": float(x), "y": float(y), "a_norm": worst[1]}
+    elif summary["non_dissipative"]:
+        # A failing anchor's norm exceeds every passing one's, so the
+        # worst anchor is a failing one.
+        report["worst_cell"] = {"anchor": v.anchors[worst[0]], "a_norm": worst[1]}
 
     # An error cell or anchor is never dissipative, so "every verdict
     # dissipative" also means "no errors".
@@ -562,7 +566,10 @@ def _load_config(args) -> ExperimentConfig:
         data = json.loads(json.dumps(PRESETS[args.preset]))
     elif args.config:
         with open(args.config) as fh:
-            data = _config_data(fh.read())
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config is not valid JSON: {exc}")
     for assignment in args.set or []:
         apply_override(data, assignment)
     return ExperimentConfig.from_dict(data)
@@ -573,14 +580,13 @@ def cmd_pwa(args, config) -> int:
     x = _as_tuple(args.x.split(","), float, "--x", net.input_dim)
     form = extract_pwa(net, x, mode=config.analysis.mode)
     residual = verify_equivalence(net, form)
-    artifacts.write_json(os.path.join(args.out, "pwa.json"), {
+    _write_document(args, config, "pwa.json", {
         "anchor": form.anchor,
         "a_star": form.a_star,
         "b_star": form.b_star,
         "mode": form.mode,
         "residual": residual,
-        "metadata": _metadata("pwa", config),
-    }, sort_keys=True)
+    })
     print(f"pwa: residual={residual:.3e} at x={list(x)}")
     return 0 if residual <= 1e-6 else 1
 
@@ -596,12 +602,11 @@ def cmd_grid(args, config) -> int:
                                             config.analysis.mode)
     dissipativity.write_grid_csv(analysis, os.path.join(args.out, "grid.csv"))
     dissipativity.write_grid_json(analysis, os.path.join(args.out, "grid.json"))
-    summary = analysis.summary()
-    artifacts.write_json(os.path.join(args.out, "grid_summary.json"), {
+    summary, worst = analysis.summary(), analysis.worst()
+    _write_document(args, config, "grid_summary.json", {
         "summary": summary,
-        "worst_cell": analysis.worst_cell(),
-        "metadata": _metadata("grid", config),
-    }, sort_keys=True)
+        "worst_cell": None if worst is None else [*worst[0], worst[1]],
+    })
     errors = f", {summary['errors']} error cells" if summary["errors"] else ""
     max_a = summary["max_a_norm"]
     print(f"grid: {summary['dissipative']}/{summary['cells']} dissipative cells "
@@ -611,7 +616,10 @@ def cmd_grid(args, config) -> int:
 
 
 def cmd_spectra(args, config) -> int:
-    template = build_network(config).layers[0]
+    net = build_network(config)
+    # The anchors are the analysis grid, so the map must be 2-D.
+    dissipativity.require_square(net, plane="depth spectra")
+    template = net.layers[0]
     anchors = config.analysis.cell_centers()
     studies = dynamics.depth_spectra(template, config.analysis.depths, anchors,
                                      mode=config.analysis.mode)
@@ -622,11 +630,10 @@ def cmd_spectra(args, config) -> int:
         chain.from_iterable(artifacts.numbers(s.eigenvalue_moduli) for s in studies),
     ))
     medians = {study.depth: study.median_modulus() for study in studies}
-    artifacts.write_json(os.path.join(args.out, "spectra_summary.json"), {
+    _write_document(args, config, "spectra_summary.json", {
         "median_modulus": {str(d): m for d, m in medians.items()},
         "anchors": anchors.shape[0],
-        "metadata": _metadata("spectra", config),
-    }, sort_keys=True)
+    })
     print("spectra: median modulus " + ", ".join(
         f"depth {d}: {m:.4f}" for d, m in medians.items()))
     return 0
@@ -637,15 +644,14 @@ def cmd_rollout(args, config) -> int:
     traj = dynamics.rollout(net, config.analysis.x0,
                             steps=config.analysis.horizon)
     dynamics.write_trajectory_csv(traj, os.path.join(args.out, "trajectory.csv"))
-    artifacts.write_json(os.path.join(args.out, "rollout.json"), {
+    _write_document(args, config, "rollout.json", {
         "classification": traj.classification,
         "halt": traj.halt,
         "steps": traj.steps,
         "period": traj.period,
         "limit": traj.limit,
         "tail_bounds": traj.tail_bounds,
-        "metadata": _metadata("rollout", config),
-    }, sort_keys=True)
+    })
     print(f"rollout: {traj.classification} after {traj.steps} steps")
     return 0
 
@@ -656,11 +662,10 @@ def cmd_basin(args, config) -> int:
                                steps=config.analysis.horizon)
     dynamics.write_basin_csv(basin, os.path.join(args.out, "basin.csv"))
     summary = basin.summary()
-    artifacts.write_json(os.path.join(args.out, "basin_summary.json"), {
+    _write_document(args, config, "basin_summary.json", {
         "summary": summary,
         "limit_points": basin.limit_points,
-        "metadata": _metadata("basin", config),
-    }, sort_keys=True)
+    })
     print("basin: " + ", ".join(f"{k}={v}" for k, v in sorted(
         summary["classes"].items())) + f", clusters={summary['limit_clusters']}")
     return 0
@@ -700,15 +705,14 @@ def cmd_train(args, config) -> int:
     training.save_checkpoint(report.best_model,
                              os.path.join(args.out, "checkpoint"), report)
     improvement = init_mse / best_mse if best_mse > 0 else float("inf")
-    artifacts.write_json(os.path.join(args.out, "train_summary.json"), {
+    _write_document(args, config, "train_summary.json", {
         "plant": config.plant.name,
         "init_test_mse": init_mse,
         "best_test_mse": best_mse,
         "improvement": improvement,
         "best_epoch": report.best_epoch,
         "best_dev_loss": report.best_dev_loss,
-        "metadata": _metadata("train", config),
-    }, sort_keys=True)
+    })
     print(f"train: {config.plant.name} test mse {init_mse:.5f} -> {best_mse:.5f} "
           f"({improvement:.1f}x, best epoch {report.best_epoch})")
     return 0
@@ -716,9 +720,7 @@ def cmd_train(args, config) -> int:
 
 def cmd_certify(args, config) -> int:
     report = certificate_report(config)
-    report["metadata"] = _metadata("certify", config)
-    artifacts.write_json(os.path.join(args.out, "certificate.json"), report,
-                         sort_keys=True)
+    _write_document(args, config, "certificate.json", report)
     line = f"certify: {report['status']}"
     if report["status"] == STATUS_FAILED and "worst_cell" in report:
         worst = report["worst_cell"]
@@ -800,7 +802,8 @@ def _on_off(token):
 
 
 def cmd_sweep(args, base) -> int:
-    threads = resolve_threads(args.threads)
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     study = sweep_rows()
     configs = enumerate_sweep(
         base, kinds=_sweep_filter("--kinds", args.kinds, str,
@@ -816,8 +819,6 @@ def cmd_sweep(args, base) -> int:
         print(f"sweep: {len(configs)} configurations")
         return 0
 
-    report_dir = os.path.join(args.out, "configs")
-
     def work(item):
         name, config = item
         try:
@@ -828,7 +829,7 @@ def cmd_sweep(args, base) -> int:
         except Exception as exc:  # logged per config, sweep continues
             return name, config, exc
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
         results = list(pool.map(work, configs))
     results.sort(key=lambda item: item[0])
 
@@ -841,9 +842,7 @@ def cmd_sweep(args, base) -> int:
             print(f"sweep: {name} failed: {report}", file=sys.stderr)
             continue
         counts[report["status"]] += 1
-        report["metadata"] = _metadata("sweep", config)
-        artifacts.write_json(os.path.join(report_dir, f"{name}.json"), report,
-                             sort_keys=True)
+        _write_document(args, config, os.path.join("configs", f"{name}.json"), report)
 
     artifacts.write_csv(os.path.join(args.out, "sweep.csv"), _SWEEP_CSV_COLUMNS,
                         ([row[c] for row in rows] for c in _SWEEP_CSV_COLUMNS))
@@ -859,11 +858,10 @@ def cmd_gen_weights(args, config) -> int:
                                  seed=config.seed)
     matrix = weight.realize()
     report = structured.guarantee_report(weight, matrix)
-    artifacts.write_json(os.path.join(args.out, "weights.json"), {
+    _write_document(args, config, "weights.json", {
         "matrix": matrix,
         "report": report,
-        "metadata": _metadata("gen-weights", config),
-    }, sort_keys=True)
+    })
     print(f"gen-weights: {config.map.kind} {matrix.shape[0]}x{matrix.shape[1]} "
           f"guarantees {'ok' if report['passed'] else 'VIOLATED'}")
     return 0 if report["passed"] else 1
@@ -929,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="certify every config in the study grid")
     common(p)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                    help="configs certified side by side, at least 1 "
                         "(default: the machine's cpu count)")
     p.add_argument("--kinds", help="comma list of map kinds to keep")

@@ -17,7 +17,8 @@ Every verdict comes from verdicts_at, which returns one Verdicts record
 of per-anchor arrays; a single point is a batch of one.  Grid sweeps
 cover 2-D state spaces: certify_region is verdicts_at at the cell
 centers, with each field shaped to the grid.  Higher dimensions use
-sampled anchor sets (lhs_anchors) with the same record.
+sampled anchor sets (lhs_anchors) with the same record; its summary()
+and worst() read the same for either anchor shape.
 
 An anchor is an error when its A(x), ||A(x)|| or ||b(x)|| is non-finite;
 its norms are nan, it is neither dissipative nor contractive, and a
@@ -92,6 +93,31 @@ class Verdicts:
         eigs[self.error] = np.nan
         return eigs
 
+    def summary(self) -> dict:
+        """Anchor counts and norm range; norms are None when all are errors."""
+        n_diss = int(np.count_nonzero(self.dissipative))
+        errors = int(np.count_nonzero(self.error))
+        total = self.a_norm.size
+        finite = self.a_norm[~self.error]
+        return {
+            "cells": total,
+            "dissipative": n_diss,
+            "non_dissipative": total - n_diss - errors,
+            "errors": errors,
+            "fraction_dissipative": n_diss / total,
+            "max_a_norm": float(np.max(finite)) if finite.size else None,
+            "min_a_norm": float(np.min(finite)) if finite.size else None,
+        }
+
+    def worst(self):
+        """(index into the anchors' leading shape, a_norm) of the first
+        largest finite a_norm; None when every anchor is an error."""
+        if self.error.all():
+            return None
+        masked = np.where(self.error, -np.inf, self.a_norm)
+        index = np.unravel_index(int(np.argmax(masked)), masked.shape)
+        return tuple(map(int, index)), float(masked[index])
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -163,22 +189,6 @@ class GridAnalysis(Verdicts):
     def resolution(self) -> int:
         return self.spec.resolution
 
-    def summary(self) -> dict:
-        """Cell counts and norm range; norms are None when every cell is an error."""
-        n_diss = int(np.count_nonzero(self.dissipative))
-        errors = int(np.count_nonzero(self.error))
-        total = self.a_norm.size
-        finite = self.a_norm[~self.error]
-        return {
-            "cells": total,
-            "dissipative": n_diss,
-            "non_dissipative": total - n_diss - errors,
-            "errors": errors,
-            "fraction_dissipative": n_diss / total,
-            "max_a_norm": float(np.max(finite)) if finite.size else None,
-            "min_a_norm": float(np.min(finite)) if finite.size else None,
-        }
-
     @cached_property
     def _numbers(self) -> dict:
         """The number fields grid.csv and grid.json share, formatted once."""
@@ -187,14 +197,6 @@ class GridAnalysis(Verdicts):
             ("a_norm", self.a_norm), ("b_norm", self.b_norm),
             ("eig_re", eigs.real), ("eig_im", eigs.imag),
         )}
-
-    def worst_cell(self):
-        """(i, j, a_norm) of the largest finite a_norm, or None."""
-        if self.error.all():
-            return None
-        masked = np.where(self.error, -np.inf, self.a_norm)
-        i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        return int(i), int(j), float(masked[i, j])
 
 
 def require_square(net: MlpNetwork, plane: str | None = None) -> None:

@@ -70,7 +70,7 @@ _MERGE_GAP = 16
 _HASH_PRIME = 1000003
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A completed rollout with its classification.
 
@@ -92,7 +92,7 @@ class Trajectory:
         return self.states.shape[0] - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasinMap:
     """Grid of rollout outcomes plus the deduplicated limit points."""
 
@@ -111,7 +111,7 @@ class BasinMap:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectraStudy:
     """Pooled local eigenvalue moduli of a weight-shared net at one depth."""
 

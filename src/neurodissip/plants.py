@@ -71,7 +71,7 @@ class IntegrationError(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlantModel:
     """One plant kind: its parameters, kernel, boxes and benchmark protocol.
 
@@ -221,7 +221,7 @@ def _clip(v, lo, hi):
     return hi if v >= hi else v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlantDataset:
     """Simulated trajectory with contiguous train/dev/test splits.
 

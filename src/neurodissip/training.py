@@ -190,7 +190,7 @@ OPTIMIZERS = {"adam": Adam, "sgd": Sgd}
 
 # --- constrained network plumbing -------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class ConstrainedLayer:
     """One trainable layer: a weight parametrization, bias, activation."""
 
@@ -316,7 +316,7 @@ class TrainConfig:
         return {f.name: data[f.name] for f in fields(TrainConfig)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingData:
     """State/input record with named contiguous splits."""
 

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from neurodissip import cli, structured
+from neurodissip import cli, dissipativity, structured
 from neurodissip.cli import (
     ConfigError,
     ExperimentConfig,
@@ -119,24 +119,68 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="length 2"):
             ExperimentConfig.from_dict({"analysis": {"x_range": [0, 1, 2]}})
 
-    @pytest.mark.parametrize("argv", [
-        ["grid", "--set", "plant.method=bogus"],
-        ["simulate", "--set", "map.kind=perron_frobenius",
-         "--set", "map.lambda_min=-0.5"],
-        ["simulate", "--set", "map.lambda_max=1e999"],
-        ["grid", "--set", "analysis.x_range=[0,1e999]",
-         "--set", "analysis.resolution=4"],
-        ["certify", "--set", "analysis.x_range=[-1e999,0]"],
-        ["grid", "--set", "analysis.x_range=[-1e308,1e308]",
-         "--set", "analysis.resolution=4"],
+    @pytest.mark.parametrize("argv, named", [
+        (["grid", "--set", "plant.method=bogus"], "plant.method"),
+        (["simulate", "--set", "map.kind=perron_frobenius",
+          "--set", "map.lambda_min=-0.5"], "lambda_min"),
+        (["simulate", "--set", "map.lambda_max=1e999"], "bounds"),
+        (["grid", "--set", "analysis.x_range=[0,1e999]",
+          "--set", "analysis.resolution=4"], "x_range"),
+        (["certify", "--set", "analysis.x_range=[-1e999,0]"], "x_range"),
+        (["grid", "--set", "analysis.x_range=[-1e308,1e308]",
+          "--set", "analysis.resolution=4"], "x_range"),
+        (["grid", "--set", "network.bias=off"],
+         "network.bias must be a boolean, got 'off'"),
+        (["grid", "--set", "seed=-1"], "seed must be a non-negative integer"),
+        (["simulate", "--set", "plant.seed=-2"],
+         "plant.seed must be a non-negative integer"),
+        (["train", "--set", "training.seed=-3"],
+         "training.seed must be a non-negative integer"),
+        (["simulate", "--set", "plant.seed=1.5"],
+         "plant.seed must be an integer, got 1.5"),
+        (["grid", "--set", "analysis.resolution=4.5"],
+         "analysis.resolution must be an integer"),
+        (["spectra", "--set", "network.width=3"],
+         "depth spectra are defined for 2-D state spaces"),
     ], ids=["plant-method", "negative-pf-bound", "infinite-bound",
-            "infinite-range", "infinite-certify-range", "overflowing-width"])
-    def test_library_rules_fail_before_any_file(self, tmp_path, capsys, argv):
+            "infinite-range", "infinite-certify-range", "overflowing-width",
+            "bias-off", "negative-seed", "negative-plant-seed",
+            "negative-training-seed", "fractional-plant-seed",
+            "fractional-resolution", "spectra-width3"])
+    def test_library_rules_fail_before_any_file(self, tmp_path, capsys, argv, named):
         # Each section runs the rule of the library call it configures,
         # also where the command never makes that call.
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value, kind", [
+        ("network", "bias", "off", "a boolean"),
+        ("network", "depth", True, "an integer"),
+        ("network", "width", 2.0, "an integer"),
+        ("map", "lambda_max", False, "a number"),
+        ("map", "kind", 3, "a string"),
+        ("analysis", "depths", 4, "an array"),
+        ("training", "regularizers", [], "an object"),
+        ("training", "learning_rate", "0.1", "a number"),
+    ])
+    def test_values_take_their_default_json_type(self, section, key, value, kind):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict({section: {key: value}})
+        assert str(info.value) == f"{section}.{key} must be {kind}, got {value!r}"
+
+    def test_type_rule_keeps_values_as_given(self):
+        # An integer where a number goes stays an integer in the metadata.
+        config = ExperimentConfig.from_dict(
+            {"map": {"lambda_min": 0, "lambda_max": 1}, "plant": {"seed": 0}})
+        assert config.to_dict()["map"] == {
+            "kind": "gershgorin_complex", "lambda_min": 0, "lambda_max": 1}
+        assert type(config.map.lambda_max) is int
+
+    def test_repeated_depths_count_once(self):
+        config = ExperimentConfig.from_dict({"analysis": {"depths": [8, 2, 8, 1, 2]}})
+        assert config.analysis.depths == (8, 2, 1)
 
     def test_unknown_plant_rejected(self):
         with pytest.raises(ConfigError, match="unknown plant"):
@@ -315,6 +359,48 @@ class TestCertificateReport:
         assert "grid" not in report
         assert report["sampled"]["anchors"] == 50
         assert report["sampled"]["errors"] == 0
+
+    def test_sampled_worst_anchor_is_the_first_largest_failing_one(self):
+        config = ExperimentConfig.from_dict({
+            "network": {"width": 8, "activation": "relu"},
+            "map": {"lambda_min": 0.99, "lambda_max": 1.10},
+            "analysis": {"anchors": 60},
+        })
+        report = certificate_report(config, equilibria=False)
+        analysis = config.analysis
+        anchors = dissipativity.lhs_anchors(8, 60, [analysis.x_range] * 8,
+                                            seed=config.seed)
+        v = dissipativity.verdicts_at(build_network(config), anchors)
+        failing = np.flatnonzero(~v.error & ~v.dissipative)
+        assert failing.size and report["status"] == "NOT CERTIFIED"
+        # The mask-and-argmax rule the summary's worst() stands in for.
+        k = failing[np.argmax(v.a_norm[failing])]
+        worst = report["worst_cell"]
+        assert np.array_equal(worst["anchor"], anchors[k])
+        assert worst["a_norm"] == v.a_norm[k]
+        assert report["sampled"] == {
+            "anchors": 60, "dissipative": int(v.dissipative.sum()),
+            "errors": 0, "max_a_norm": float(v.a_norm.max())}
+
+    def test_passing_sampled_anchors_write_no_worst_anchor(self):
+        config = ExperimentConfig.from_dict({
+            "network": {"width": 3, "activation": "tanh"},
+            "analysis": {"anchors": 20},
+        })
+        report = certificate_report(config, equilibria=False)
+        assert report["sampled"]["dissipative"] == 20
+        assert "worst_cell" not in report
+
+    def test_plane_worst_cell_is_the_summary_worst_anchor(self):
+        config = preset_config("mixed-sigmoid", resolution=16)
+        report = certificate_report(config, equilibria=False)
+        v = dissipativity.certify_region(build_network(config), config.analysis)
+        (i, j), a_norm = v.worst()
+        spec = config.analysis
+        assert report["worst_cell"] == {"x": spec.axis_centers(0)[i],
+                                        "y": spec.axis_centers(1)[j],
+                                        "a_norm": a_norm}
+        assert report["grid"] == v.summary()
 
 
 class TestCertificateWithoutEigenvalues:
@@ -538,6 +624,15 @@ class TestSpectraCommand:
         moduli = csv_rows(tmp_path / "eigenvalues.csv")
         assert {row["depth"] for row in moduli} == {"1", "4"}
 
+
+    def test_repeated_depth_is_studied_once(self, tmp_path):
+        for sub, depths in (("twice", "[2, 2]"), ("once", "[2]")):
+            assert main(["spectra", "--out", str(tmp_path / sub),
+                         "--set", "analysis.resolution=4",
+                         "--set", f"analysis.depths={depths}"]) == 0
+        for name in ("histograms.csv", "eigenvalues.csv"):
+            assert ((tmp_path / "twice" / name).read_bytes()
+                    == (tmp_path / "once" / name).read_bytes())
 
     def test_empty_depths_fail_before_any_study(self, tmp_path, capsys):
         rc = main(["spectra", "--preset", "depth-damping", "--out", str(tmp_path),
@@ -845,10 +940,24 @@ class TestCommandPlumbing:
         assert rc == 1
         assert "depht" in capsys.readouterr().err
 
-    def test_threads_explicit_or_cpu_count(self):
-        assert cli.resolve_threads(5) == 5
-        assert cli.resolve_threads(1) == 1
-        assert cli.resolve_threads(None) >= 1
+    def test_threads_explicit_or_cpu_count(self, tmp_path, monkeypatch):
+        used = []
+
+        class Pool(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                used.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        # --threads 5, --threads 1, then the cpu count, known or not.
+        for argv, cpus in ((["--threads", "5"], 2), (["--threads", "1"], 2),
+                           ([], 3), ([], None)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert main(["sweep", "--kinds", "unstructured", "--depths", "1",
+                         "--activations", "relu", "--bias", "off",
+                         "--set", "analysis.resolution=4",
+                         "--out", str(tmp_path)] + argv) == 0
+        assert used == [5, 1, 3, 1]
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_sweep_rejects_threads_below_one(self, tmp_path, capsys, threads):

@@ -80,6 +80,22 @@ class TestPointVerdict:
             gain = np.linalg.norm(net.forward(x)) - np.linalg.norm(x)
             assert gain <= b_norm + 1e-9
 
+    def test_summary_and_worst_of_a_sampled_set(self):
+        rng = np.random.default_rng(3)
+        net = scaled_tanh_net(rng, [3, 5, 3], 1.3)
+        v = verdicts_at(net, rng.uniform(-2.0, 2.0, (40, 3)))
+        summary = v.summary()
+        assert summary["cells"] == 40 and summary["errors"] == 0
+        assert summary["dissipative"] + summary["non_dissipative"] == 40
+        assert summary["max_a_norm"] == v.a_norm.max()
+        assert summary["min_a_norm"] == v.a_norm.min()
+        index, a_norm = v.worst()
+        assert index == (int(np.argmax(v.a_norm)),) and a_norm == v.a_norm.max()
+
+    def test_worst_ties_go_to_the_first_anchor(self):
+        v = verdicts_at(linear_net(0.5 * np.eye(2)), [[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])
+        assert v.worst() == ((0,), v.a_norm[0])
+
     def test_one_step_contraction_where_flagged(self):
         rng = np.random.default_rng(1)
         net = MlpNetwork(layers=(
@@ -103,6 +119,13 @@ class TestGrid:
         res = certify_region(linear_net(0.5 * np.eye(2)), GridSpec(resolution=10))
         assert res.summary()["fraction_dissipative"] == 1.0
         assert res.summary()["errors"] == 0
+
+    def test_worst_indexes_the_grid(self):
+        rng = np.random.default_rng(4)
+        res = certify_region(scaled_tanh_net(rng, [2, 4, 2], 1.5), GridSpec(resolution=6))
+        (i, j), a_norm = res.worst()
+        assert (i, j) == np.unravel_index(np.argmax(res.a_norm), (6, 6))
+        assert a_norm == res.a_norm.max() == res.summary()["max_a_norm"]
 
     def test_cells_match_point_verdicts(self):
         rng = np.random.default_rng(2)
@@ -184,7 +207,8 @@ class TestGrid:
         summary = res.summary()
         assert summary["errors"] == summary["cells"] == 9
         assert summary["max_a_norm"] is None and summary["min_a_norm"] is None
-        assert res.worst_cell() is None
+        assert res.worst() is None
+        assert verdicts_at(net, [[1.0, 1.0], [2.0, 0.5]]).worst() is None
         write_grid_json(res, tmp_path / "grid.json")
 
         def reject(constant):

@@ -44,12 +44,19 @@ def commands() -> list:
     # halt both ways (442 converged, 1158 diverged).
     cmds.append(("grid-depth-growth-3000",
                  ["grid", "--preset", "depth-growth", "--set", "network.depth=3000"]))
-    # Error paths: a square 3-D map on the two plane analyses, and an
-    # infinite range, which the config load rejects.
-    for command in ("grid", "basin"):
+    # Error paths: a square 3-D map on the three plane analyses, and an
+    # infinite range, a string for a boolean and a negative seed, which the
+    # config load rejects.
+    for command in ("grid", "basin", "spectra"):
         cmds.append((f"{command}-width3", [command, "--set", "network.width=3"]))
     cmds.append(("grid-infinite-x-range",
                  ["grid", "--set", "analysis.x_range=[0,1e999]",
+                  "--set", "analysis.resolution=4"]))
+    cmds.append(("grid-bias-off", ["grid", "--set", "network.bias=off"]))
+    cmds.append(("simulate-negative-seed", ["simulate", "--set", "plant.seed=-1"]))
+    # A depth given twice is studied once.
+    cmds.append(("spectra-repeated-depth",
+                 ["spectra", "--set", "analysis.depths=[2,2]",
                   "--set", "analysis.resolution=4"]))
     cmds.append(("basin-mixed-halts",
                  ["basin", "--set", "network.activation=selu",
